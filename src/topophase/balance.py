@@ -210,28 +210,15 @@ def positive_maximal_kernel(rows: Sequence[Sequence[int]]) -> Optional[tuple[int
 
     Returns the coefficients exactly when the rows form an irreducible
     c-state of maximal length (rank n, one-dimensional kernel, all
-    coefficients nonzero with a common sign); None otherwise.  The kernel is
-    read off the alternating maximal minors.
+    coefficients nonzero with a common sign); None otherwise.
     """
-    m = len(rows)
-    if m == 0 or m != len(rows[0]) + 1:
+    if not rows or len(rows) != len(rows[0]) + 1:
         return None
-    rows = [list(r) for r in rows]
-    minors = []
-    sign = 1
-    for j in range(m):
-        minors.append(sign * determinant(rows[:j] + rows[j + 1:]))
-        sign = -sign
-    if any(x == 0 for x in minors):
-        return None  # rank deficit or a reducible dependence
-    if all(x > 0 for x in minors):
-        vec = minors
-    elif all(x < 0 for x in minors):
-        vec = [-x for x in minors]
-    else:
-        return None
-    g = vector_gcd(vec)
-    return tuple(x // g for x in vec)
+    basis = kernel_lattice(rows)
+    # Basis vectors are primitive with a positive first nonzero entry.
+    if len(basis) == 1 and all(x > 0 for x in basis[0]):
+        return basis[0]
+    return None
 
 
 def solve_stabilizer(
@@ -381,9 +368,11 @@ def bezout_inequivalence(d1: int, d2: int, allowed: Iterable[int]) -> bool:
     return all(d % combined for d in allowed)
 
 
-def classify(state: SparseState) -> ClassificationFlags:
-    """Classification flags; the balancedness flags refer to the
-    computational basis of the input."""
+def _classify(
+    state: SparseState, w: WeightMatrix
+) -> tuple[ClassificationFlags, Optional[KernelCertificate]]:
+    """Classification flags and the strongest certificate (convex, else
+    affine), running the simplex at most once."""
     single = state.m == 1
     entangled = False
     if state.n >= 2 and not single:
@@ -396,25 +385,30 @@ def classify(state: SparseState) -> ClassificationFlags:
                     break
             if not entangled:
                 break
-    w = weight_matrix(state)
-    a_cert = affine_certificate(w)
-    c_cert = convex_certificate(w) if a_cert is not None else None
-    semistable = positive_maximal_kernel(w.rows) is not None
-    return ClassificationFlags(
+    affine = affine_certificate(w)
+    # A convex certificate has a positive sum, so only an a-state has one.
+    convex = convex_certificate(w) if affine is not None else None
+    flags = ClassificationFlags(
         n_partite_entangled=entangled,
-        a_state=a_cert is not None,
-        c_state=c_cert is not None,
-        semistable_certified=semistable,
+        a_state=affine is not None,
+        c_state=convex is not None,
+        semistable_certified=positive_maximal_kernel(w.rows) is not None,
         single_term=single,
     )
+    return flags, convex or affine
+
+
+def classify(state: SparseState) -> ClassificationFlags:
+    """Classification flags; the balancedness flags refer to the
+    computational basis of the input."""
+    return _classify(state, weight_matrix(state))[0]
 
 
 def analysis_report(state: SparseState) -> dict:
     """JSON-ready analysis of one state in its computational basis."""
     w = weight_matrix(state)
     ps = phase_set(w)
-    cert = convex_certificate(w) or affine_certificate(w)
-    flags = classify(state)
+    flags, cert = _classify(state, w)
     if ps.continuous:
         chi_min = "continuous"
     else:

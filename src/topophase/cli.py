@@ -127,6 +127,8 @@ def cmd_search(args) -> int:
         raise InvariantViolation("search needs --n >= 3")
     if args.bound is not None and args.complete:
         raise ParseFailure("--bound and --complete are mutually exclusive")
+    if args.format not in ("csv", "json", "both"):  # argparse skips choices for defaults
+        raise ParseFailure(f"TOPOPHASE_FORMAT must be csv, json or both, not {args.format!r}")
     if args.complete:
         bound = search.completeness_bound(args.n)
     elif args.bound is not None:
@@ -135,18 +137,19 @@ def cmd_search(args) -> int:
         bound = search.default_sum_bound(args.n)
     result = search.search_tables(args.n, bound, workers=args.workers)
     base = args.out or f"search_n{args.n}"
-    written = []
+    # Render everything before writing, so a failure leaves no partial output.
+    texts = {}
     if args.format in ("csv", "both"):
-        _write_text(base + ".csv", search.records_to_csv(result.records))
-        written.append(base + ".csv")
+        texts[base + ".csv"] = search.records_to_csv(result.records)
     if args.format in ("json", "both"):
         limit = args.a_class_limit if args.a_classes else None
-        _write_text(base + ".json", _search_json(result, limit))
-        written.append(base + ".json")
+        texts[base + ".json"] = _search_json(result, limit)
+    for path, text in texts.items():
+        _write_text(path, text)
     phases = " ".join("pi" if d == 1 else f"pi/{d}" for d in result.denominators)
     sys.stdout.write(f"records: {len(result.records)}\n")
     sys.stdout.write(f"chi_min set: {phases}\n")
-    sys.stdout.write(f"wrote: {' '.join(written)}\n")
+    sys.stdout.write(f"wrote: {' '.join(texts)}\n")
     return EXIT_OK
 
 
@@ -314,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate structures and write phase tables")
     p.add_argument("--n", type=int, required=True, help="qubit count (>= 3)")
-    p.add_argument("--bound", type=int, default=_env("BOUND") and int(_env("BOUND")),
+    p.add_argument("--bound", type=int, default=_env("BOUND"),
                    help="multiset sum ceiling (default 4n)")
     p.add_argument("--complete", action="store_true",
-                   default=bool(_env("COMPLETE")),
                    help="use the provable completeness bound (slow)")
-    p.add_argument("--workers", type=int, default=int(_env("WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
     p.add_argument("--format", choices=["csv", "json", "both"],
                    default=_env("FORMAT", "both"))
     p.add_argument("--out", default=_env("OUT"), help="output base path (default search_n<N>)")
@@ -340,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--winding", help="comma-separated winding integers (with --derive)")
     p.add_argument("--phis", help="comma-separated rational angles in pi units (diagonal)")
     p.add_argument("--antidiag", help="comma-separated rational angles in pi units (antidiagonal)")
-    p.add_argument("--tolerance", type=float, default=float(_env("TOLERANCE", "1e-9")))
+    p.add_argument("--tolerance", type=float, default=_env("TOLERANCE", "1e-9"))
     p.add_argument("--out", default=_env("OUT"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle-check", help="brute-force oracle vs search (n <= 5)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=int(_env("WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -366,6 +368,9 @@ def main(argv=None) -> int:
     except VerificationMismatch as exc:
         sys.stderr.write(f"topophase: {exc}\n")
         return EXIT_MISMATCH
+    except ValueError as exc:  # a library precondition on the input failed
+        sys.stderr.write(f"topophase: {exc}\n")
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

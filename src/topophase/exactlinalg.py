@@ -1,12 +1,18 @@
 """Exact integer and rational linear algebra.
 
-Integer kernel lattices, exact determinants, rational linear solves, and
-exact convex-hull membership via a phase-1 simplex with Bland's rule.
-Everything is arbitrary precision: plain ``int`` for lattice work,
-``fractions.Fraction`` for rational pivoting.  No floating point anywhere.
+Three elimination schemes, each for its own job:
 
-Matrices are passed around as sequences of equal-length integer rows; all
-operations are pure and never mutate their arguments.
+- `Echelon`, an incremental division-free row echelon form over the
+  integers.  `determinant`, `solve_rational`, `rank_rational` and the
+  search's rank test all run on its one row step.
+- `kernel_lattice`, integer row reduction carrying a unimodular transform,
+  so the left kernel comes out as a basis of the full integer lattice.
+- `convex_feasible`, a phase-1 simplex with Bland's rule in
+  ``fractions.Fraction`` arithmetic.
+
+Everything is arbitrary precision; no floating point anywhere.  Matrices are
+passed around as sequences of equal-length integer rows; all operations are
+pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -92,70 +98,67 @@ def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
     return [make_primitive(u[i]) for i in range(r, m)]
 
 
-def determinant(rows: IntRows) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    a = _copy_rows(rows)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pivot - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+class Echelon:
+    """Incremental row echelon form of integer vectors, division-free.
 
+    `add` reduces a vector against the stored rows in the order they were
+    stored: a row whose pivot column holds 0 in the vector is skipped,
+    otherwise ``v = p*v - a*row`` with ``p`` the row's pivot entry and ``a``
+    the vector's entry there.  A nonzero remainder is stored divided by its
+    content, with its first nonzero column as pivot.  Every stored row is
+    zero in the pivot columns of the rows stored before it, so ordering the
+    columns by pivot makes the stored rows upper triangular.
 
-def _row_reduce(
-    aug: list[list[Fraction]], ncols: int
-) -> tuple[list[int], bool]:
-    """In-place Gauss-Jordan on an augmented matrix.
-
-    Reduces the first `ncols` columns; returns (pivot column list, consistent)
-    where consistency checks that no row reads 0 = nonzero in the augmented
-    part.
+    A stored row is ``(mult * added - earlier rows) / content``, where
+    ``mult`` is the product of the pivot entries it was multiplied by.
+    ``scale_num`` and ``scale_den`` collect the products of the ``mult`` and
+    the content factors, so the stored rows' determinant is the added rows'
+    determinant times ``scale_num / scale_den``.
     """
-    m = len(aug)
-    width = len(aug[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    # Rows below the last pivot are zero in the reduced columns, so any
-    # residue in the augmented part marks an inconsistent system.
-    consistent = all(not any(row[ncols:]) for row in aug[r:]) if width > ncols else True
-    return pivots, consistent
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []
+        self.scale_num = 1
+        self.scale_den = 1
+
+    def add(self, vec: Sequence[int]) -> bool:
+        """Store the reduced vector; False when it lies in the span."""
+        v = list(vec)
+        mult = 1
+        for col, row in self.rows:
+            a = v[col]
+            if a:
+                p = row[col]
+                v = [x * p - y * a for x, y in zip(v, row)]
+                mult *= p
+        for col, x in enumerate(v):
+            if x:
+                g = gcd(*v)
+                if g != 1:
+                    v = [y // g for y in v]
+                self.rows.append((col, v))
+                self.scale_num *= mult
+                self.scale_den *= g
+                return True
+        return False
+
+
+def determinant(rows: IntRows) -> int:
+    """Exact determinant: the product of the echelon pivots, unscaled."""
+    mat = _copy_rows(rows)
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant requires a square matrix")
+    ech = Echelon()
+    for row in mat:
+        if not ech.add(row):
+            return 0
+    cols = [col for col, _ in ech.rows]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    prod = -1 if inversions % 2 else 1
+    for col, row in ech.rows:
+        prod *= row[col]
+    return prod * ech.scale_den // ech.scale_num
 
 
 def solve_rational(
@@ -171,23 +174,25 @@ def solve_rational(
     if len(rhs) != m:
         raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
     ncols = len(mat[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots, consistent = _row_reduce(aug, ncols)
-    if not consistent:
-        return None
+    ech = Echelon()
+    for row, b in zip(mat, map(Fraction, rhs)):
+        ech.add([x * b.denominator for x in row] + [b.numerator])
+    if any(col == ncols for col, _ in ech.rows):
+        return None  # a stored row reads 0 = nonzero
+    # Back-substitution: each row involves only the pivots of later rows.
     x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return tuple(x), ncols - len(pivots)
+    solved: list[int] = []
+    for col, row in reversed(ech.rows):
+        x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in solved), row[col])
+        solved.append(col)
+    return tuple(x), ncols - len(ech.rows)
 
 
 def rank_rational(rows: IntRows) -> int:
-    mat = _copy_rows(rows)
-    if not mat:
-        return 0
-    aug = [[Fraction(x) for x in row] for row in mat]
-    pivots, _ = _row_reduce(aug, len(mat[0]))
-    return len(pivots)
+    ech = Echelon()
+    for row in _copy_rows(rows):
+        ech.add(row)
+    return len(ech.rows)
 
 
 def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:

@@ -23,7 +23,7 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .balance import positive_maximal_kernel
-from .exactlinalg import determinant, solve_rational
+from .exactlinalg import Echelon, solve_rational
 
 ORACLE_MAX_QUBITS = 5
 
@@ -98,7 +98,12 @@ class SearchResult:
 
 
 def default_sum_bound(n: int) -> int:
-    """Default multiset-sum ceiling: 4n clears every known table with margin."""
+    """Default multiset-sum ceiling 4n.
+
+    It is not provably exhaustive: at n = 7 the largest multiset sum found
+    is 28 = 4n, with no margin, and at n = 8 a search to 40 finds 966
+    records more than one to 32.
+    """
     return 4 * n
 
 
@@ -151,29 +156,6 @@ def _mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _IndependenceAccumulator:
-    """Incremental exact rank of integer vectors (fraction-free pivoting)."""
-
-    def __init__(self):
-        self.pivots: list[tuple[int, list[int]]] = []
-
-    def try_add(self, vec: Sequence[int]) -> bool:
-        v = list(vec)
-        for col, row in self.pivots:
-            if v[col]:
-                a, p = v[col], row[col]
-                v = [x * p - y * a for x, y in zip(v, row)]
-        for col, x in enumerate(v):
-            if x:
-                self.pivots.append((col, v))
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def _greedy_selection(n: int, masks: Sequence[int]) -> Optional[list[int]]:
     """First n masks whose augmented indicators are linearly independent.
 
@@ -181,11 +163,10 @@ def _greedy_selection(n: int, masks: Sequence[int]) -> Optional[list[int]]:
     lie in the hyperplane c . x = Z, so full rank n is the best possible and
     the greedy maximal independent set decides existence exactly.
     """
-    acc = _IndependenceAccumulator()
+    ech = Echelon()
     chosen: list[int] = []
     for mask in masks:
-        vec = [(mask >> j) & 1 for j in range(n)] + [1]
-        if acc.try_add(vec):
+        if ech.add([(mask >> j) & 1 for j in range(n)] + [1]):
             chosen.append(mask)
             if len(chosen) == n:
                 return chosen
@@ -236,29 +217,37 @@ def partitions_fixed_length(
                 yield (first,) + rest
 
 
-def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStructure]:
-    """Every valid structure with multiset sum <= sum_bound, one per
-    (multiset, Z) pair, in deterministic order."""
+def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
+    """Independent chunks (n, total, first element) of the multiset space,
+    in the order `enumerate_structures` walks it."""
     if n < 3:
         raise ValueError("maximal-length structures need n >= 3")
     if sum_bound < n:
-        raise ValueError("sum bound below the smallest possible multiset sum")
-    for total in range(n, sum_bound + 1):
-        for multiset in partitions_fixed_length(total, n):
-            if gcd(*multiset) != 1:
-                continue
+        raise ValueError(f"sum bound {sum_bound} is below the smallest multiset sum {n}")
+    return [
+        (n, total, first)
+        for total in range(n, sum_bound + 1)
+        for first in range(total - (n - 1), -(-total // n) - 1, -1)
+    ]
+
+
+def _chunk_structures(task: tuple[int, int, int]) -> Iterator[CombinatorialStructure]:
+    n, total, first = task
+    for rest in partitions_fixed_length(total - first, n - 1, first):
+        multiset = (first,) + rest
+        if gcd(*multiset) == 1:
             yield from _structures_for_multiset(multiset)
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> list[SearchRecord]:
-    n, total, first = args
-    out = []
-    for rest in partitions_fixed_length(total - first, n - 1, first):
-        multiset = (first,) + rest
-        if gcd(*multiset) != 1:
-            continue
-        out.extend(s.record() for s in _structures_for_multiset(multiset))
-    return out
+def _scan_chunk(task: tuple[int, int, int]) -> list[SearchRecord]:
+    return [s.record() for s in _chunk_structures(task)]
+
+
+def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStructure]:
+    """Every valid structure with multiset sum <= sum_bound, one per
+    (multiset, Z) pair, in deterministic order."""
+    for task in _search_tasks(n, sum_bound):
+        yield from _chunk_structures(task)
 
 
 def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> SearchResult:
@@ -270,18 +259,13 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     """
     if sum_bound is None:
         sum_bound = default_sum_bound(n)
+    tasks = _search_tasks(n, sum_bound)
     if workers > 1:
-        tasks = [
-            (n, total, first)
-            for total in range(n, sum_bound + 1)
-            for first in range(-(-total // n), total - (n - 1) + 1)
-        ]
-        records: set[SearchRecord] = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_scan_chunk, tasks, chunksize=16):
-                records.update(chunk)
+            chunks = list(pool.map(_scan_chunk, tasks, chunksize=16))
     else:
-        records = {s.record() for s in enumerate_structures(n, sum_bound)}
+        chunks = map(_scan_chunk, tasks)
+    records = {rec for chunk in chunks for rec in chunk}
     return SearchResult(n, sum_bound, tuple(sorted(records)))
 
 
@@ -315,10 +299,7 @@ def validate_structure(structure: CombinatorialStructure) -> None:
 def uniqueness_check(structure: CombinatorialStructure) -> bool:
     """True iff the pattern sign matrix is nonsingular and solving the column
     system with right side -c0 * (1..1) reproduces the multiset values."""
-    sign = [list(row) for row in structure.sign_matrix()]
-    if determinant(sign) == 0:
-        return False
-    sol = solve_rational(sign, [-structure.c0] * structure.n)
+    sol = solve_rational(structure.sign_matrix(), [-structure.c0] * structure.n)
     if sol is None:
         return False
     x, free = sol

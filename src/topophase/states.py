@@ -14,9 +14,10 @@ State file format (JSON, UTF-8 without BOM)::
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def parse_state(text: str) -> SparseState:
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise ValueError("state document must be an object with 'n' and 'terms'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("'n' must be an integer")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
@@ -133,7 +134,12 @@ def parse_state(text: str) -> SparseState:
             pair = item["amp"]
             if (not isinstance(pair, list)) or len(pair) != 2:
                 raise ValueError(f"term {idx}: 'amp' must be a [re, im] pair")
-            amp = complex(float(pair[0]), float(pair[1]))
+            try:
+                amp = complex(float(pair[0]), float(pair[1]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"term {idx}: 'amp' entries must be numbers") from exc
+            if not cmath.isfinite(amp):
+                raise ValueError(f"term {idx}: 'amp' must be finite")
         terms.append((bits, amp))
     return SparseState(n, tuple(terms))
 
@@ -164,11 +170,6 @@ def weight_matrix(state: SparseState) -> WeightMatrix:
         tuple(1 if ch == "1" else -1 for ch in bits) for bits, _ in state.terms
     )
     return WeightMatrix(state.m, state.n, rows)
-
-
-def support_from_rows(rows: Sequence[Sequence[int]]) -> list[str]:
-    """Inverse of `weight_matrix` on supports: +1 -> '1', -1 -> '0'."""
-    return ["".join("1" if x == 1 else "0" for x in row) for row in rows]
 
 
 def bipartition_product_check(state: SparseState, subset: Iterable[int]) -> bool:

@@ -1,6 +1,27 @@
+from itertools import permutations
+
 import pytest
 
 from topophase import search
+
+
+def brute_force_det(rows):
+    """Permutation-sum determinant, independent of the elimination core."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        seen = list(perm)
+        for i in range(n):  # count inversions for the parity
+            for j in range(i + 1, n):
+                if seen[i] > seen[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
 
 # Worked five- and seven-qubit states used across the suite.
 FIVE_QUBIT_SIX_TERM = [  # multiset {1,1,1,1,1}, Z=2, chi_min pi/3

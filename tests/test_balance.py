@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     SEVEN_QUBIT_PI18,
     WORKED_SEVEN_QUBIT_SUPPORT,
     WORKED_SEVEN_QUBIT_STRUCTURE,
+    brute_force_det,
 )
 from topophase.balance import (
     PhaseSet,
@@ -174,6 +176,25 @@ class TestMaximalLength:
         w = WeightMatrix(3, 2, rows)
         assert is_irreducible_maximal_length(w)
         assert positive_maximal_kernel(rows) is None
+
+    @pytest.mark.parametrize("n, supports", [(3, 35), (4, 1365)])
+    def test_positive_kernel_matches_alternating_minors(self, n, supports):
+        # Every support with the all-ones row: the kernel of a rank-n matrix
+        # is spanned by its alternating maximal minors.
+        ones = (1,) * n
+        others = [row for row in product((1, -1), repeat=n) if row != ones]
+        count = 0
+        for combo in combinations(others, n):
+            rows = [ones, *combo]
+            minors = [
+                (-1) ** j * brute_force_det(rows[:j] + rows[j + 1:]) for j in range(n + 1)
+            ]
+            expected = None
+            if all(x > 0 for x in minors) or all(x < 0 for x in minors):
+                expected = tuple(abs(x) // gcd(*minors) for x in minors)
+            assert positive_maximal_kernel(rows) == expected, rows
+            count += 1
+        assert count == supports
 
     def test_positive_kernel_on_worked_states(self):
         assert positive_maximal_kernel(

@@ -6,6 +6,12 @@ from conftest import SEVEN_QUBIT_PI18, WORKED_SEVEN_QUBIT_SUPPORT
 from topophase.cli import main
 from topophase.states import ghz_state, save_state, support_state, w_state
 
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("topophase: ") and err.count("\n") == 1, err
+
+
 GOLDEN_N5_CSV = (
     "multiset,Z,chi_min_denominator\n"
     "1;1;1;1;1,2,3\n"
@@ -55,6 +61,18 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", [["analyze"], ["verify", "--derive"]],
+                             ids=["analyze", "verify"])
+    @pytest.mark.parametrize("doc", [
+        '{"n": 2, "terms": [{"bits": "00"}, {"bits": "11", "amp": ["nan", 0]}]}',
+        '{"n": true, "terms": [{"bits": "1"}]}',
+    ], ids=["nan_amp", "bool_n"])
+    def test_malformed_state_exit_code(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert_one_line_error(capsys)
+
 
 class TestSearch:
     def test_n5_golden_csv(self, tmp_path, capsys):
@@ -88,6 +106,50 @@ class TestSearch:
         assert main(["search", "--n", "5", "--out", base]) == 0
         doc = json.loads((tmp_path / "env.json").read_text())
         assert doc["sum_bound"] == 7
+
+    @pytest.mark.parametrize("var, argv", [
+        ("TOPOPHASE_BOUND", ["search", "--n", "5"]),
+        ("TOPOPHASE_WORKERS", ["search", "--n", "5"]),
+        ("TOPOPHASE_WORKERS", ["oracle-check", "--n", "3"]),
+        ("TOPOPHASE_TOLERANCE", ["verify", "state.json", "--derive"]),
+    ])
+    def test_malformed_env_default_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  var, argv):
+        monkeypatch.setenv(var, "x")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_env_format(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOPHASE_FORMAT", "xml")
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--n", "3"]) == 1
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_complete_env_variable_is_gone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOPHASE_COMPLETE", "0")
+        base = str(tmp_path / "env")
+        assert main(["search", "--n", "3", "--out", base]) == 0
+        assert json.loads((tmp_path / "env.json").read_text())["sum_bound"] == 12
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bound_below_n(self, tmp_path, capsys, workers):
+        base = str(tmp_path / "low")
+        assert main(["search", "--n", "5", "--bound", "3", "--workers", workers,
+                     "--out", base]) == 2
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_class_limit_exceeded(self, tmp_path, capsys):
+        base = str(tmp_path / "ac")
+        assert main(["search", "--n", "3", "--a-classes", "--a-class-limit", "0",
+                     "--out", base]) == 2
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +224,16 @@ class TestVerify:
     def test_mismatch_exit_code(self, ghz3_file, capsys):
         # not a stabilizer of GHZ3: the angle sum is not a multiple of pi
         assert main(["verify", ghz3_file, "--phis", "1/2,0,0"]) == 3
+
+    def test_zero_tolerance(self, ghz3_file, capsys):
+        assert main(["verify", ghz3_file, "--derive", "--tolerance", "0"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_beyond_dense_limit(self, tmp_path, capsys):
+        path = tmp_path / "ghz21.json"
+        save_state(ghz_state(21), path)
+        assert main(["verify", str(path), "--derive"]) == 2
+        assert_one_line_error(capsys)
 
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1

@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_det
 from topophase.exactlinalg import (
+    Echelon,
     convex_feasible,
     determinant,
     kernel_lattice,
@@ -17,27 +18,14 @@ from topophase.exactlinalg import (
 W3_ROWS = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 
 
-def brute_force_det(rows):
-    """Permutation-sum oracle, independent of the Bareiss path."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):  # count inversions for the parity
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
-
-
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+sign_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
 
@@ -57,7 +45,7 @@ class TestDeterminant:
             determinant([[1, 2, 3], [4, 5, 6]])
 
     @settings(max_examples=150, deadline=None)
-    @given(small_matrices)
+    @given(st.one_of(small_matrices, sign_matrices))
     def test_matches_permutation_sum(self, rows):
         assert determinant(rows) == brute_force_det(rows)
 
@@ -108,6 +96,24 @@ class TestSolveRational:
 
     def test_inconsistent(self):
         assert solve_rational([(1,), (1,)], [0, 1]) is None
+
+    def test_pivot_columns_out_of_order(self):
+        # The echelon stores pivots 1, 0, 2 in row order; with free variables
+        # at 0 the particular solution depends only on the pivot-column set,
+        # so it equals the one Gauss-Jordan elimination gives.
+        rows = [(0, 2, 1, 3), (3, 1, 0, 1), (1, 1, 1, 1)]
+        ech = Echelon()
+        for row in rows:
+            ech.add(row)
+        assert [col for col, _ in ech.rows] == [1, 0, 2]
+        assert solve_rational(rows, [1, 2, Fraction(1, 2)]) == (
+            (Fraction(3, 8), Fraction(7, 8), Fraction(-3, 4), Fraction(0)),
+            1,
+        )
+        assert solve_rational([(0, 2, 1, 3), (3, 1, 0, 1), (3, 5, 2, 7)], [1, 2, 4]) == (
+            (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)),
+            2,
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(

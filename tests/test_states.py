@@ -40,6 +40,19 @@ class TestParseState:
         again = parse_state(state_to_json(state))
         assert again == state
 
+    @pytest.mark.parametrize("amp", ['["nan", 0]', "[1, Infinity]", "[NaN, 0]"])
+    def test_non_finite_amplitude(self, amp):
+        with pytest.raises(ValueError, match="term 1: 'amp' must be finite"):
+            parse_state('{"n":2,"terms":[{"bits":"00"},{"bits":"11","amp":%s}]}' % amp)
+
+    def test_non_numeric_amplitude(self):
+        with pytest.raises(ValueError, match="term 0: 'amp' entries must be numbers"):
+            parse_state('{"n":2,"terms":[{"bits":"00","amp":[[1], 0]}]}')
+
+    def test_boolean_n(self):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            parse_state('{"n":true,"terms":[{"bits":"1"}]}')
+
     def test_bad_json(self):
         with pytest.raises(ValueError, match="invalid JSON"):
             parse_state("{nope")
