@@ -118,6 +118,8 @@ def _search_json(result: search.SearchResult, a_class_limit: int | None) -> str:
         "sum_bound": result.sum_bound,
         "records": records,
         "chi_min_denominators": list(result.denominators),
+        "multisets_scanned": result.multisets_scanned,
+        "rank_tests": result.rank_tests,
     }
     return _dump(doc)
 
@@ -211,6 +213,10 @@ def cmd_verify(args) -> int:
     chosen = [bool(args.derive), args.phis is not None, args.antidiag is not None]
     if sum(chosen) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
+    if state.n > stabilizers.MAX_DENSE_QUBITS:
+        raise InvariantViolation(
+            f"dense verification capped at {stabilizers.MAX_DENSE_QUBITS} qubits"
+        )
     tol = args.tolerance
 
     if args.derive:

@@ -7,8 +7,21 @@ that uniquely pin the integers down.  Each structure determines a minimal
 phase pi / (sum - Z).  The enumeration walks multiset totals in ascending
 order; for each (multiset, Z) pair a structure exists iff the 0/1 indicator
 vectors of the equal-sum subsets, augmented with a homogenizing 1, span rank
-n over the rationals -- a greedy scan decides that exactly, and doubles as a
-witness selection.
+n over the rationals.
+
+The search decides that rank in batches, without the homogenizing 1 and
+modulo the prime P = 2^31 - 1, and both steps are exact:
+
+- The augmented vectors (x, 1) all lie in the hyperplane c . x = Z t, on
+  which dropping t is injective (Z >= 1), so rank{(x, 1)} = rank{x}.
+- A nonzero n x n 0/1 minor is at most (n+1)^((n+1)/2) / 2^n in absolute
+  value, which is below P for n <= 22 (`MAX_SEARCH_QUBITS`); so a full-rank
+  bucket keeps a minor that is nonzero modulo P, and the rank modulo P
+  equals the rank over Q.  Larger n is refused.
+
+The structures themselves (`enumerate_structures`) take their patterns from
+a greedy exact scan of each admitted bucket, the first n masks whose
+augmented indicators are independent.
 
 A brute-force oracle for small n enumerates supports directly and must
 reproduce the same record sets.
@@ -18,14 +31,20 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .balance import positive_maximal_kernel
 from .exactlinalg import Echelon, solve_rational
 
 ORACLE_MAX_QUBITS = 5
+# Prime modulus of the batched rank test, and the largest n it is exact for.
+RANK_PRIME = 2 ** 31 - 1
+MAX_SEARCH_QUBITS = 22
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,8 @@ class SearchResult:
     n: int
     sum_bound: int
     records: tuple[SearchRecord, ...]
+    multisets_scanned: int
+    rank_tests: int
 
     @property
     def denominators(self) -> tuple[int, ...]:
@@ -127,13 +148,12 @@ def equal_sum_submultisets(values: Sequence[int], z: int) -> list[tuple[int, ...
     """
     if z < 1:
         raise ValueError("Z must be positive")
-    n = len(values)
+    return [_mask_positions(mask) for mask in _equal_sum_masks(values, z)]
+
+
+def _equal_sum_masks(values: Sequence[int], z: int) -> list[int]:
     sums = _mask_sums(values)
-    return [
-        _mask_positions(mask)
-        for mask in range(1, (1 << n) - 1)
-        if sums[mask] == z
-    ]
+    return [mask for mask in range(1, (1 << len(values)) - 1) if sums[mask] == z]
 
 
 def _mask_sums(values: Sequence[int]) -> list[int]:
@@ -173,29 +193,6 @@ def _greedy_selection(n: int, masks: Sequence[int]) -> Optional[list[int]]:
     return None
 
 
-def _structures_for_multiset(multiset: tuple[int, ...]) -> Iterator[CombinatorialStructure]:
-    """Valid structures for one multiset, one per admissible Z, Z ascending."""
-    n = len(multiset)
-    total = sum(multiset)
-    sums = _mask_sums(multiset)
-    buckets: dict[int, list[int]] = {}
-    for mask in range(1, (1 << n) - 1):
-        buckets.setdefault(sums[mask], []).append(mask)
-    for z in range(1, (total - multiset[0]) // 2 + 1):
-        bucket = buckets.get(z, ())
-        if len(bucket) < n:
-            continue
-        chosen = _greedy_selection(n, bucket)
-        if chosen is None:
-            continue
-        struct = CombinatorialStructure(
-            n, multiset, z, tuple(_mask_positions(mask) for mask in chosen)
-        )
-        # Coefficients including c0 always sum to an even number.
-        assert (struct.total + struct.c0) % 2 == 0
-        yield struct
-
-
 def partitions_fixed_length(
     total: int, parts: int, max_part: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
@@ -217,11 +214,22 @@ def partitions_fixed_length(
                 yield (first,) + rest
 
 
+def _rank_test_exact(n: int) -> bool:
+    """Whether every n x n 0/1 minor, at most (n+1)^((n+1)/2) / 2^n in
+    absolute value, lies below RANK_PRIME."""
+    return (n + 1) ** (n + 1) < RANK_PRIME ** 2 * 4 ** n
+
+
 def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     """Independent chunks (n, total, first element) of the multiset space,
     in the order `enumerate_structures` walks it."""
     if n < 3:
         raise ValueError("maximal-length structures need n >= 3")
+    if not _rank_test_exact(n):
+        raise ValueError(
+            f"search is exact only up to n = {MAX_SEARCH_QUBITS} "
+            f"(rank test modulo 2^31 - 1)"
+        )
     if sum_bound < n:
         raise ValueError(f"sum bound {sum_bound} is below the smallest multiset sum {n}")
     return [
@@ -231,16 +239,124 @@ def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _chunk_structures(task: tuple[int, int, int]) -> Iterator[CombinatorialStructure]:
+@lru_cache(maxsize=None)
+def _mask_bits(n: int) -> np.ndarray:
+    """0/1 bit rows of the proper masks 1 .. 2^n - 2, then one zero row that
+    pads short buckets; built on first use, not at import."""
+    masks = np.arange(1, (1 << n) - 1)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    table = np.vstack([bits, np.zeros((1, n), dtype=bits.dtype)]).astype(np.int32)
+    table.setflags(write=False)
+    return table
+
+
+def _full_column_rank(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of a (B, m, n) stack of 0/1 matrices: rank n over Q?
+
+    Division-free elimination: each step takes the first row with a nonzero
+    entry in the leading column as pivot, sets every row to ``p*row -
+    a*pivot`` (the pivot row itself becomes zero) and drops the column; a
+    matrix without a nonzero entry there is rank deficient and leaves the
+    batch.  A step takes entries bounded by b to entries bounded by 2*b^2,
+    so the first steps run exactly in int32; once the bound reaches
+    RANK_PRIME, each step runs in int64 (products below 2^62) and reduces
+    modulo RANK_PRIME.  Every entry tested for zero is thus below
+    RANK_PRIME in absolute value, and the rank modulo the prime equals the
+    rank over Q while `_rank_test_exact` holds.
+    """
+    work = np.asarray(mats, dtype=np.int32)
+    full = np.ones(len(work), dtype=bool)
+    alive = np.arange(len(work))
+    bound = 1
+    for _ in range(work.shape[2]):
+        nonzero = work[:, :, 0] != 0
+        has_pivot = nonzero.any(axis=1)
+        if not has_pivot.all():
+            full[alive[~has_pivot]] = False
+            alive, work, nonzero = alive[has_pivot], work[has_pivot], nonzero[has_pivot]
+            if not len(alive):
+                break
+        bound = 2 * bound * bound
+        if bound >= RANK_PRIME:
+            work = work.astype(np.int64, copy=False)
+        pivot = work[np.arange(len(work)), nonzero.argmax(axis=1)][:, None, :]
+        lead = work[:, :, :1] * pivot[:, :, 1:]
+        work = pivot[:, :, :1] * work[:, :, 1:]
+        work -= lead
+        del lead
+        if bound >= RANK_PRIME:
+            work %= RANK_PRIME
+            bound = RANK_PRIME - 1
+    return full
+
+
+def _admitted_pairs(
+    task: tuple[int, int, int]
+) -> tuple[list[tuple[tuple[int, ...], int]], int, int]:
+    """The (multiset, Z) pairs of one task that admit a structure, multisets
+    in partition order and Z ascending, with the number of gcd-1 multisets
+    scanned and of rank tests run.
+
+    All multisets of a task share total and largest element, so n array
+    doublings give every mask sum, one bincount every bucket size, and the
+    buckets with at least n masks and 1 <= Z <= (total - c1) / 2 go through
+    `_full_column_rank` in batches of similar size (padding below 2x).
+    """
     n, total, first = task
-    for rest in partitions_fixed_length(total - first, n - 1, first):
-        multiset = (first,) + rest
-        if gcd(*multiset) == 1:
-            yield from _structures_for_multiset(multiset)
+    multisets = [
+        (first,) + rest
+        for rest in partitions_fixed_length(total - first, n - 1, first)
+        if gcd(first, *rest) == 1
+    ]
+    if not multisets:
+        return [], 0, 0
+    width = total + 1  # bucket key = multiset index * width + mask sum
+    values = np.array(multisets)
+    keys = width * np.arange(len(multisets))[:, None]
+    for j in range(n):  # column `mask` gets the sum of the values in `mask`
+        keys = np.concatenate([keys, keys + values[:, j:j + 1]], axis=1)
+    keys = keys[:, 1:-1].ravel()
+    bits = _mask_bits(n)
+    proper = len(bits) - 1
+    counts = np.bincount(keys, minlength=len(multisets) * width)
+    candidate = np.zeros((len(multisets), width), dtype=bool)
+    zmax = (total - first) // 2
+    candidate[:, 1:zmax + 1] = counts.reshape(-1, width)[:, 1:zmax + 1] >= n
+    candidate = candidate.ravel()
+    tested = np.flatnonzero(candidate)
+    if not len(tested):
+        return [], len(multisets), 0
+    # Member masks of the tested buckets, bucket by bucket, then the zero row.
+    members = np.flatnonzero(candidate[keys])
+    members = members[np.argsort(keys[members], kind="stable")]
+    rows = np.append(members % proper, proper)
+    sizes = counts[tested]
+    starts = np.cumsum(sizes) - sizes
+    full = np.empty(len(tested), dtype=bool)
+    size_class = np.frexp(sizes)[1]
+    for cls in set(size_class.tolist()):
+        pick = np.flatnonzero(size_class == cls)
+        offsets = np.arange(sizes[pick].max())
+        index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
+        full[pick] = _full_column_rank(bits[rows[index]])
+    pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
+    return pairs, len(multisets), len(tested)
 
 
-def _scan_chunk(task: tuple[int, int, int]) -> list[SearchRecord]:
-    return [s.record() for s in _chunk_structures(task)]
+def _scan_chunk(task: tuple[int, int, int]) -> tuple[list[SearchRecord], int, int]:
+    pairs, scanned, tests = _admitted_pairs(task)
+    records = [SearchRecord(sum(multiset) - z, multiset, z) for multiset, z in pairs]
+    return records, scanned, tests
+
+
+def _chunk_structures(task: tuple[int, int, int]) -> Iterator[CombinatorialStructure]:
+    n = task[0]
+    for multiset, z in _admitted_pairs(task)[0]:
+        chosen = _greedy_selection(n, _equal_sum_masks(multiset, z))
+        assert chosen is not None, "the rank test and the greedy selection disagree"
+        yield CombinatorialStructure(
+            n, multiset, z, tuple(_mask_positions(mask) for mask in chosen)
+        )
 
 
 def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStructure]:
@@ -254,8 +370,8 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     """Deduplicated record set for all structures with sum <= sum_bound.
 
     The multiset space is partitioned by (total sum, first element); chunks
-    are independent, and the merged result is sorted, so the output does not
-    depend on the worker count.
+    are independent, and the merged result is sorted, so the output and the
+    counters do not depend on the worker count.
     """
     if sum_bound is None:
         sum_bound = default_sum_bound(n)
@@ -264,9 +380,15 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_chunk, tasks, chunksize=16))
     else:
-        chunks = map(_scan_chunk, tasks)
-    records = {rec for chunk in chunks for rec in chunk}
-    return SearchResult(n, sum_bound, tuple(sorted(records)))
+        chunks = list(map(_scan_chunk, tasks))
+    records = {rec for chunk, _, _ in chunks for rec in chunk}
+    return SearchResult(
+        n,
+        sum_bound,
+        tuple(sorted(records)),
+        multisets_scanned=sum(scanned for _, scanned, _ in chunks),
+        rank_tests=sum(tests for _, _, tests in chunks),
+    )
 
 
 def table_one_denominators(n: int, workers: int = 1) -> tuple[int, ...]:

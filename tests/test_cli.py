@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import SEVEN_QUBIT_PI18, WORKED_SEVEN_QUBIT_SUPPORT
+from topophase import balance, search, stabilizers
 from topophase.cli import main
 from topophase.states import ghz_state, save_state, support_state, w_state
 
@@ -159,6 +160,24 @@ class TestSearch:
     def test_small_n_invariant_violation(self, capsys):
         assert main(["search", "--n", "2"]) == 2
 
+    def test_n_beyond_exact_rank_test(self, tmp_path, capsys, monkeypatch):
+        def no_work(task):
+            raise AssertionError("scanned a chunk")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_work)
+        base = str(tmp_path / "big")
+        assert main(["search", "--n", "23", "--out", base]) == 2
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_json_counters(self, tmp_path, capsys, workers):
+        base = str(tmp_path / "c")
+        assert main(["search", "--n", "6", "--bound", "24", "--workers", workers,
+                     "--out", base]) == 0
+        doc = json.loads((tmp_path / "c.json").read_text())
+        assert (doc["multisets_scanned"], doc["rank_tests"]) == (962, 523)
+
 
 class TestConstruct:
     def test_worked_seven_qubit_structure(self, tmp_path, capsys):
@@ -229,11 +248,23 @@ class TestVerify:
         assert main(["verify", ghz3_file, "--derive", "--tolerance", "0"]) == 2
         assert_one_line_error(capsys)
 
-    def test_beyond_dense_limit(self, tmp_path, capsys):
+    def test_beyond_dense_limit(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "ghz21.json"
         save_state(ghz_state(21), path)
         assert main(["verify", str(path), "--derive"]) == 2
         assert_one_line_error(capsys)
+
+        # Refused before any exact or dense work, in every mode.
+        def no_work(*args, **kwargs):
+            raise AssertionError("did work on an oversized state")
+
+        for module, name in [(balance, "phase_set"), (balance, "solve_stabilizer"),
+                             (stabilizers, "verify")]:
+            monkeypatch.setattr(module, name, no_work)
+        angles = ",".join(["0"] * 21)
+        for mode in (["--derive"], ["--phis", angles], ["--antidiag", angles]):
+            assert main(["verify", str(path), *mode]) == 2
+            assert_one_line_error(capsys)
 
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1

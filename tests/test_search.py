@@ -1,7 +1,10 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topophase.balance import (
     construct_state,
@@ -11,7 +14,10 @@ from topophase.balance import (
     phase_set,
     positive_maximal_kernel,
 )
+from topophase import search
+from topophase.exactlinalg import Echelon
 from topophase.search import (
+    MAX_SEARCH_QUBITS,
     CombinatorialStructure,
     SearchRecord,
     a_class_matrices,
@@ -209,6 +215,108 @@ class TestSearchTables:
         assert single == multi
 
 
+    @pytest.mark.parametrize("n, bound, scanned, tests", [
+        (6, 24, 962, 523),
+        (7, 28, 2228, 3877),
+        (8, 32, 4874, 21130),
+    ])
+    def test_counters(self, n, bound, scanned, tests):
+        result = search_tables(n, bound)
+        assert (result.multisets_scanned, result.rank_tests) == (scanned, tests)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_structures_give_the_search_records(self, n):
+        bound = default_sum_bound(n)
+        structures = {s.record() for s in enumerate_structures(n, bound)}
+        assert structures == set(search_tables(n, bound).records)
+
+    @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24)])
+    def test_batched_scan_matches_greedy_on_every_bucket(self, n, bound):
+        # The exact greedy rank scan over every bucket that has n masks, as the
+        # search decided it before the batched test.
+        expected = []
+        for task in search._search_tasks(n, bound):
+            _, total, first = task
+            for rest in search.partitions_fixed_length(total - first, n - 1, first):
+                multiset = (first,) + rest
+                if gcd(*multiset) != 1:
+                    continue
+                for z in range(1, (total - first) // 2 + 1):
+                    bucket = search._equal_sum_masks(multiset, z)
+                    if len(bucket) >= n and search._greedy_selection(n, bucket):
+                        expected.append((multiset, z))
+        got = [pair for task in search._search_tasks(n, bound)
+               for pair in search._admitted_pairs(task)[0]]
+        assert got == expected
+
+
+def _bucket_rank(rows, n):
+    ech = Echelon()
+    return sum(ech.add(row) for row in rows) if rows else 0
+
+
+@st.composite
+def zero_one_buckets(draw):
+    """Stacks of 0/1 buckets for one n, padded with zero rows to one height;
+    columns are random, zero, all ones or copies of an earlier column."""
+    n = draw(st.integers(3, 9))
+    buckets = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(1, 2 * n + 3))
+        cols = []
+        for j in range(n):
+            kind = draw(st.sampled_from(("random", "random", "zero", "ones", "copy")))
+            if kind == "zero":
+                cols.append([0] * m)
+            elif kind == "ones":
+                cols.append([1] * m)
+            elif kind == "copy" and j:
+                cols.append(list(cols[draw(st.integers(0, j - 1))]))
+            else:
+                cols.append(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        buckets.append([list(row) for row in zip(*cols)])
+    height = max(len(b) for b in buckets) + draw(st.integers(0, 3))
+    return n, buckets, height
+
+
+class TestBatchedRankTest:
+    @settings(max_examples=200, deadline=None)
+    @given(zero_one_buckets())
+    def test_matches_echelon(self, case):
+        n, buckets, height = case
+        stack = np.zeros((len(buckets), height, n), dtype=np.int64)
+        for b, rows in enumerate(buckets):
+            stack[b, :len(rows)] = rows
+        got = search._full_column_rank(stack)
+        assert got.tolist() == [_bucket_rank(rows, n) == n for rows in buckets]
+
+    @pytest.mark.parametrize("n", [9, 12, 16, MAX_SEARCH_QUBITS])
+    def test_large_entries_stay_exact(self, n):
+        # From the fifth column on the elimination runs modulo the prime;
+        # unreduced int64 entries would wrap to multiples of 2^64 here.
+        rng = np.random.default_rng(n)
+        mats = rng.integers(0, 2, size=(30, n + 2, n))
+        mats[:10, :, -1] = mats[:10, :, 0]  # rank deficient
+        expected = [_bucket_rank(mat.tolist(), n) == n for mat in mats]
+        assert search._full_column_rank(mats).tolist() == expected
+        assert any(expected)
+
+    def test_exact_up_to_the_limit(self):
+        assert search._rank_test_exact(MAX_SEARCH_QUBITS)
+        assert not search._rank_test_exact(MAX_SEARCH_QUBITS + 1)
+        assert MAX_SEARCH_QUBITS == 22
+
+    def test_refuses_n_beyond_limit_without_work(self, monkeypatch):
+        def no_work(task):
+            raise AssertionError("scanned a chunk")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_work)
+        with pytest.raises(ValueError, match="n = 22"):
+            search_tables(23)
+        with pytest.raises(ValueError, match="n = 22"):
+            next(enumerate_structures(23, 92))
+
+
 class TestOracle:
     def test_three_qubits(self):
         assert as_tuples(brute_force_oracle(3)) == TRUE_RECORDS[3]
@@ -256,6 +364,14 @@ class TestBounds:
         for n in (3, 4, 5, 6):
             assert max(sum(r.multiset) for r in search_results[n].records) <= default_sum_bound(n)
         assert max(sum(r.multiset) for r in search_result_7.records) <= default_sum_bound(7)
+
+    def test_raised_bound_adds_nothing(self, search_results, search_result_7):
+        # A real truncation check: a bound well above the largest multiset
+        # sum found at the default bound finds no further record.
+        assert search_tables(6, 36).records == search_results[6].records
+        assert search_tables(7, 36).records == search_result_7.records
+        assert len(search_results[6].records) == 14
+        assert len(search_result_7.records) == 122
 
     def test_complete_mode_adds_nothing_small_n(self, search_results):
         assert as_tuples(search_tables(3, completeness_bound(3)).records) == TRUE_RECORDS[3]
