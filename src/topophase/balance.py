@@ -19,13 +19,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlinalg import (
-    convex_feasible,
-    determinant,
-    kernel_lattice,
-    solve_rational,
-    vector_gcd,
-)
+from .exactlinalg import convex_feasible, kernel_lattice, solve_rational, vector_gcd
 from .states import (
     SparseState,
     WeightMatrix,
@@ -33,9 +27,6 @@ from .states import (
     support_state,
     weight_matrix,
 )
-
-# Subset scans for minimal dependent sets are exponential in the row count.
-IRREDUCIBILITY_ROW_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -130,13 +121,6 @@ class ClassificationFlags:
     single_term: bool
 
 
-def _kernel_sum_gcd(rows: Sequence[Sequence[int]]) -> int:
-    g = 0
-    for vec in kernel_lattice(rows):
-        g = gcd(g, sum(vec))
-    return g
-
-
 def phase_set(w: WeightMatrix) -> PhaseSet:
     """Phase set of the Cartan subgroup diagonal in the state's basis.
 
@@ -145,13 +129,12 @@ def phase_set(w: WeightMatrix) -> PhaseSet:
     because each row has odd entries (+-1 each), so c.W = 0 forces
     sum(c) = 0 mod 2.
     """
-    return PhaseSet(_kernel_sum_gcd(w.rows))
+    return PhaseSet(gcd(*(sum(vec) for vec in w.kernel)))
 
 
 def affine_certificate(w: WeightMatrix) -> Optional[KernelCertificate]:
     """A primitive kernel vector with nonzero (positive) sum, if one exists."""
-    basis = kernel_lattice(w.rows)
-    for vec in basis:
+    for vec in w.kernel:
         s = sum(vec)
         if s:
             if s < 0:
@@ -172,25 +155,27 @@ def convex_certificate(w: WeightMatrix) -> Optional[KernelCertificate]:
 
 
 def irreducibility(w: WeightMatrix) -> IrreducibilityResult:
-    """Minimal-cardinality dependent row subset with nonzero coefficient sum.
+    """Inclusion-minimal row subset carrying a dependence with nonzero sum.
 
-    The state is irreducible in this basis iff that subset is all rows.
-    Raises ValueError when the input is not an a-state, or when the search
-    would need a subset scan over more than IRREDUCIBILITY_ROW_LIMIT rows.
+    Such a dependence on some rows is one on every superset, so the state is
+    irreducible in this basis iff no single row can be dropped.  One pass
+    drops each row whose removal leaves such a dependence; what is left is
+    all rows exactly when the state is irreducible.  With a one-dimensional
+    kernel every dependence is a multiple of the basis vector, whose support
+    is the answer.  Raises ValueError when the input is not an a-state.
     """
-    basis = kernel_lattice(w.rows)
+    basis = w.kernel
     if not any(sum(v) for v in basis):
         raise ValueError("not an a-state in this basis: no dependence with nonzero sum")
     if len(basis) == 1:
         supp = tuple(i for i, x in enumerate(basis[0]) if x)
         return IrreducibilityResult(len(supp) == w.m, supp)
-    if w.m > IRREDUCIBILITY_ROW_LIMIT:
-        raise ValueError(f"subset scan over {w.m} rows refused (limit {IRREDUCIBILITY_ROW_LIMIT})")
-    for size in range(2, w.m + 1):
-        for subset in combinations(range(w.m), size):
-            if _kernel_sum_gcd([w.rows[i] for i in subset]):
-                return IrreducibilityResult(size == w.m, subset)
-    raise AssertionError("unreachable: a-state must contain a dependent subset")
+    keep = list(range(w.m))
+    for i in range(w.m):
+        trial = [j for j in keep if j != i]
+        if any(sum(v) for v in kernel_lattice([w.rows[j] for j in trial])):
+            keep = trial
+    return IrreducibilityResult(len(keep) == w.m, tuple(keep))
 
 
 def augmented_rows(w: WeightMatrix) -> list[list[int]]:
@@ -199,10 +184,10 @@ def augmented_rows(w: WeightMatrix) -> list[list[int]]:
 
 
 def is_irreducible_maximal_length(w: WeightMatrix) -> bool:
-    """Maximal-length test: m = n+1 rows and nonsingular augmented matrix."""
-    if w.m != w.n + 1:
-        return False
-    return determinant(augmented_rows(w)) != 0
+    """Maximal-length test: m = n+1 rows and a nonsingular augmented matrix
+    [W | -1], that is, a one-dimensional kernel whose vector has a nonzero
+    sum."""
+    return w.m == w.n + 1 and len(w.kernel) == 1 and sum(w.kernel[0]) != 0
 
 
 def positive_maximal_kernel(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -272,10 +257,8 @@ def winding_for_phase(w: WeightMatrix, multiple: int = 1) -> Optional[tuple[int,
     winding vector is an integer extension of the functional
     c -> -multiple * sum(c) / d on the kernel lattice.
     """
-    basis = kernel_lattice(w.rows)
-    d = 0
-    for vec in basis:
-        d = gcd(d, sum(vec))
+    basis = w.kernel
+    d = phase_set(w).d
     if d == 0:
         return None
     m = w.m
@@ -307,17 +290,14 @@ def construct_state(structure) -> SparseState:
 
     Term 0 is the all-ones bitstring (carrying the derived coefficient c0);
     term j has bit k set iff position j-1 belongs to pattern k.  All
-    amplitudes are 1.
+    amplitudes are 1.  The structure's shape is checked when it is built;
+    the pattern sums are checked here.
     """
     multiset = tuple(structure.multiset)
     z = structure.z
     patterns = tuple(tuple(p) for p in structure.patterns)
     n = len(multiset)
-    if len(patterns) != n:
-        raise ValueError(f"need exactly {n} patterns, got {len(patterns)}")
     for k, pat in enumerate(patterns):
-        if len(set(pat)) != len(pat) or any(not 0 <= p < n for p in pat):
-            raise ValueError(f"pattern {k} is not a set of positions in 0..{n - 1}")
         if sum(multiset[p] for p in pat) != z:
             raise ValueError(f"pattern {k} does not sum to Z={z}")
     membership = [set(pat) for pat in patterns]
@@ -392,7 +372,8 @@ def _classify(
         n_partite_entangled=entangled,
         a_state=affine is not None,
         c_state=convex is not None,
-        semistable_certified=positive_maximal_kernel(w.rows) is not None,
+        # Same test as positive_maximal_kernel(w.rows), on the cached basis.
+        semistable_certified=is_irreducible_maximal_length(w) and min(w.kernel[0]) > 0,
         single_term=single,
     )
     return flags, convex or affine
@@ -413,12 +394,7 @@ def analysis_report(state: SparseState) -> dict:
         chi_min = "continuous"
     else:
         chi_min = {"num": ps.chi_min.numerator, "den": ps.chi_min.denominator}
-    irreducible = False
-    if flags.a_state:
-        try:
-            irreducible = irreducibility(w).irreducible
-        except ValueError:
-            irreducible = None  # row count beyond the subset-scan limit
+    irreducible = flags.a_state and irreducibility(w).irreducible
     return {
         "n": state.n,
         "m": state.m,

@@ -125,8 +125,6 @@ def _search_json(result: search.SearchResult, a_class_limit: int | None) -> str:
 
 
 def cmd_search(args) -> int:
-    if args.n < 3:
-        raise InvariantViolation("search needs --n >= 3")
     if args.bound is not None and args.complete:
         raise ParseFailure("--bound and --complete are mutually exclusive")
     if args.format not in ("csv", "json", "both"):  # argparse skips choices for defaults

@@ -4,7 +4,9 @@ Three elimination schemes, each for its own job:
 
 - `Echelon`, an incremental division-free row echelon form over the
   integers.  `determinant`, `solve_rational`, `rank_rational` and the
-  search's rank test all run on its one row step.
+  search's greedy witness scan run on its one row step.  The search's rank
+  test is not here: `search._full_column_rank` eliminates modulo a prime in
+  numpy.
 - `kernel_lattice`, integer row reduction carrying a unimodular transform,
   so the left kernel comes out as a basis of the full integer lattice.
 - `convex_feasible`, a phase-1 simplex with Bland's rule in

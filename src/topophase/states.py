@@ -17,9 +17,12 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+
+from .exactlinalg import kernel_lattice
 
 PRODUCT_RANK_TOLERANCE = 1e-9
 
@@ -80,6 +83,16 @@ class WeightMatrix:
             if row in seen:
                 raise ValueError(f"duplicate weight vector {row!r}")
             seen.add(row)
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of the integer left kernel of the rows, computed once.
+
+        Each vector is primitive with a positive first nonzero entry; the
+        phase set, the certificates, irreducibility and maximal length are
+        all read from this basis.
+        """
+        return tuple(kernel_lattice(self.rows))
 
 
 def support_state(n: int, bitstrings: Iterable[str]) -> SparseState:

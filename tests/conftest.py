@@ -1,8 +1,9 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from topophase import search
+from topophase.exactlinalg import kernel_lattice
 
 
 def brute_force_det(rows):
@@ -21,6 +22,23 @@ def brute_force_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def has_affine_dependence(rows):
+    """Whether some integer dependence of the rows has a nonzero sum."""
+    return any(sum(vec) for vec in kernel_lattice(rows))
+
+
+def subset_scan_irreducibility(rows):
+    """Exhaustive reference for `balance.irreducibility`: the first row subset,
+    by size and then lexicographically, carrying a dependence with nonzero
+    sum, and whether it is all rows.  Exponential in the row count."""
+    m = len(rows)
+    for size in range(1, m + 1):
+        for subset in combinations(range(m), size):
+            if has_affine_dependence([rows[i] for i in subset]):
+                return size == m, subset
+    raise ValueError("not an a-state: no dependence with nonzero sum")
 
 
 # Worked five- and seven-qubit states used across the suite.

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from types import ModuleType
 
 import pytest
 
@@ -14,6 +15,8 @@ from conftest import (
     WORKED_SEVEN_QUBIT_SUPPORT,
     WORKED_SEVEN_QUBIT_STRUCTURE,
     brute_force_det,
+    has_affine_dependence,
+    subset_scan_irreducibility,
 )
 from topophase.balance import (
     PhaseSet,
@@ -161,6 +164,31 @@ class TestIrreducibility:
         with pytest.raises(ValueError, match="a-state"):
             irreducibility(wm(w_state(3)))
 
+    def test_drop_one_pass_matches_subset_scan(self):
+        rng = random.Random(2024)
+        seen = {"irreducible": 0, "reducible, kernel dim 1": 0, "kernel dim >= 2": 0}
+        for _ in range(1000):
+            n = rng.randint(3, 6)
+            w = wm(random_support_state(rng, n, rng.randint(2, min(2 ** n, 10))))
+            if not any(sum(v) for v in w.kernel):
+                continue
+            res = irreducibility(w)
+            expected, smallest = subset_scan_irreducibility(w.rows)
+            assert res.irreducible == expected, w.rows
+            if expected:
+                # A kernel of dimension two or more always leaves a proper subset.
+                assert len(w.kernel) == 1
+            if len(w.kernel) == 1:
+                assert res.support == smallest
+            rows = [w.rows[i] for i in res.support]
+            assert has_affine_dependence(rows)
+            for k in range(len(rows)):
+                assert not has_affine_dependence(rows[:k] + rows[k + 1:]), (w.rows, k)
+            key = ("irreducible" if expected else
+                   "reducible, kernel dim 1" if len(w.kernel) == 1 else "kernel dim >= 2")
+            seen[key] += 1
+        assert min(seen.values()) >= 20, seen
+
 
 class TestMaximalLength:
     def test_seven_qubit_example(self):
@@ -193,8 +221,20 @@ class TestMaximalLength:
             if all(x > 0 for x in minors) or all(x < 0 for x in minors):
                 expected = tuple(abs(x) // gcd(*minors) for x in minors)
             assert positive_maximal_kernel(rows) == expected, rows
+            # Expanding det [W | -1] along its last column sums the minors.
+            w = WeightMatrix(n + 1, n, tuple(rows))
+            assert is_irreducible_maximal_length(w) == (sum(minors) != 0), rows
             count += 1
         assert count == supports
+
+    def test_semistable_flag_matches_positive_kernel(self):
+        hits = 0
+        for bits in combinations([format(i, "03b") for i in range(8)], 4):
+            state = support_state(3, bits)
+            expected = positive_maximal_kernel(wm(state).rows) is not None
+            assert classify(state).semistable_certified == expected, bits
+            hits += expected
+        assert hits > 0
 
     def test_positive_kernel_on_worked_states(self):
         assert positive_maximal_kernel(
@@ -399,6 +439,41 @@ class TestProductPhases:
 
 
 class TestAnalysisReport:
+    def test_more_than_sixteen_rows(self):
+        # Seventeen rows with a kernel of dimension twelve: the drop-one pass
+        # decides what a subset scan over 2^17 subsets could not.
+        bits = ["".join(p) for p in product("01", repeat=5)][:17]
+        state = support_state(5, bits)
+        assert len(wm(state).kernel) == 12
+        rep = analysis_report(state)
+        assert rep["flags"]["a_state"] is True
+        assert rep["irreducible"] is False
+
+    def test_one_kernel_per_report(self, monkeypatch):
+        # Wrap the functions in every module that imported them by name, as
+        # the benchmark's tracer does: kernels of the full rows, and any
+        # determinant, are counted.
+        import topophase
+
+        state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
+        full_rows = wm(state).rows
+        calls = {"kernel_lattice": 0, "determinant": 0}
+        modules = [mod for mod in vars(topophase).values() if isinstance(mod, ModuleType)]
+        for name in calls:
+            original = getattr(topophase.exactlinalg, name)
+
+            def counted(rows, _name=name, _original=original):
+                if _name == "determinant" or tuple(map(tuple, rows)) == full_rows:
+                    calls[_name] += 1
+                return _original(rows)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        rep = analysis_report(state)
+        assert rep["maximal_length"] is True
+        assert calls == {"kernel_lattice": 1, "determinant": 0}
+
     def test_ghz3_report(self):
         rep = analysis_report(ghz_state(3))
         assert rep["d"] == 2
