@@ -3,10 +3,9 @@
 Three elimination schemes, each for its own job:
 
 - `Echelon`, an incremental division-free row echelon form over the
-  integers.  `determinant`, `solve_rational`, `rank_rational` and the
-  search's greedy witness scan run on its one row step.  The search's rank
-  test is not here: `search._full_column_rank` eliminates modulo a prime in
-  numpy.
+  integers.  `determinant` and `solve_rational` run on its one row step.
+  The search is not here: `search._full_column_rank` eliminates modulo a
+  prime in numpy, and its pivot rows are the search's witness patterns.
 - `kernel_lattice`, integer row reduction carrying a unimodular transform,
   so the left kernel comes out as a basis of the full integer lattice.
 - `convex_feasible`, a phase-1 simplex with Bland's rule in
@@ -188,13 +187,6 @@ def solve_rational(
         x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in solved), row[col])
         solved.append(col)
     return tuple(x), ncols - len(ech.rows)
-
-
-def rank_rational(rows: IntRows) -> int:
-    ech = Echelon()
-    for row in _copy_rows(rows):
-        ech.add(row)
-    return len(ech.rows)
 
 
 def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:

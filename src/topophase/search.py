@@ -20,8 +20,11 @@ modulo the prime P = 2^31 - 1, and both steps are exact:
   equals the rank over Q.  Larger n is refused.
 
 The structures themselves (`enumerate_structures`) take their patterns from
-a greedy exact scan of each admitted bucket, the first n masks whose
-augmented indicators are independent.
+the same elimination: the pivot rows of an admitted bucket, whose masks come
+in ascending order.  Each pivot is the first row nonzero in its column, so
+every prefix of the bucket holds as many pivots as its rank, which makes the
+pivots the lexicographically first basis, the first n masks whose augmented
+indicators are independent.
 
 A brute-force oracle for small n enumerates supports directly and must
 reproduce the same record sets.
@@ -33,13 +36,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .balance import positive_maximal_kernel
-from .exactlinalg import Echelon, solve_rational
+from .exactlinalg import solve_rational
 
 ORACLE_MAX_QUBITS = 5
 # Prime modulus of the batched rank test, and the largest n it is exact for.
@@ -148,49 +151,21 @@ def equal_sum_submultisets(values: Sequence[int], z: int) -> list[tuple[int, ...
     """
     if z < 1:
         raise ValueError("Z must be positive")
-    return [_mask_positions(mask) for mask in _equal_sum_masks(values, z)]
+    sums = _mask_sums(np.array([values], dtype=object))[0, 1:-1]  # exact for any int
+    return [_mask_positions(int(mask)) for mask in np.flatnonzero(sums == z) + 1]
 
 
-def _equal_sum_masks(values: Sequence[int], z: int) -> list[int]:
-    sums = _mask_sums(values)
-    return [mask for mask in range(1, (1 << len(values)) - 1) if sums[mask] == z]
-
-
-def _mask_sums(values: Sequence[int]) -> list[int]:
-    n = len(values)
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+def _mask_sums(values: np.ndarray) -> np.ndarray:
+    """Column `mask` of row i: the sum of values[i] over the positions in
+    `mask`, for every mask 0 .. 2^n - 1 of a (k, n) array, by n doublings."""
+    sums = np.zeros((len(values), 1), dtype=values.dtype)
+    for j in range(values.shape[1]):
+        sums = np.concatenate([sums, sums + values[:, j:j + 1]], axis=1)
     return sums
 
 
 def _mask_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
-
-
-def _greedy_selection(n: int, masks: Sequence[int]) -> Optional[list[int]]:
-    """First n masks whose augmented indicators are linearly independent.
-
-    The augmented indicator of a subset S is (x_S, 1) in Q^(n+1); all of them
-    lie in the hyperplane c . x = Z, so full rank n is the best possible and
-    the greedy maximal independent set decides existence exactly.
-    """
-    ech = Echelon()
-    chosen: list[int] = []
-    for mask in masks:
-        if ech.add([(mask >> j) & 1 for j in range(n)] + [1]):
-            chosen.append(mask)
-            if len(chosen) == n:
-                return chosen
-    return None
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def partitions_fixed_length(
@@ -251,7 +226,9 @@ def _mask_bits(n: int) -> np.ndarray:
 
 
 def _full_column_rank(mats: np.ndarray) -> np.ndarray:
-    """Per matrix of a (B, m, n) stack of 0/1 matrices: rank n over Q?
+    """Per matrix of a (B, m, n) stack of 0/1 matrices, the row chosen as
+    pivot in each column, -1 from the first column without one: the matrix
+    has rank n over Q iff its last entry is >= 0.
 
     Division-free elimination: each step takes the first row with a nonzero
     entry in the leading column as pivot, sets every row to ``p*row -
@@ -265,21 +242,22 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
     rank over Q while `_rank_test_exact` holds.
     """
     work = np.asarray(mats, dtype=np.int32)
-    full = np.ones(len(work), dtype=bool)
+    pivots = np.full((work.shape[2], len(work)), -1)  # transposed: rows fill cheaply
     alive = np.arange(len(work))
     bound = 1
-    for _ in range(work.shape[2]):
+    for col in range(work.shape[2]):
         nonzero = work[:, :, 0] != 0
         has_pivot = nonzero.any(axis=1)
         if not has_pivot.all():
-            full[alive[~has_pivot]] = False
             alive, work, nonzero = alive[has_pivot], work[has_pivot], nonzero[has_pivot]
             if not len(alive):
                 break
+        first = nonzero.argmax(axis=1)
+        pivots[col][alive] = first
         bound = 2 * bound * bound
         if bound >= RANK_PRIME:
             work = work.astype(np.int64, copy=False)
-        pivot = work[np.arange(len(work)), nonzero.argmax(axis=1)][:, None, :]
+        pivot = work[np.arange(len(work)), first][:, None, :]
         lead = work[:, :, :1] * pivot[:, :, 1:]
         work = pivot[:, :, :1] * work[:, :, 1:]
         work -= lead
@@ -287,7 +265,7 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
         if bound >= RANK_PRIME:
             work %= RANK_PRIME
             bound = RANK_PRIME - 1
-    return full
+    return pivots.T
 
 
 def _admitted_pairs(
@@ -311,11 +289,8 @@ def _admitted_pairs(
     if not multisets:
         return [], 0, 0
     width = total + 1  # bucket key = multiset index * width + mask sum
-    values = np.array(multisets)
-    keys = width * np.arange(len(multisets))[:, None]
-    for j in range(n):  # column `mask` gets the sum of the values in `mask`
-        keys = np.concatenate([keys, keys + values[:, j:j + 1]], axis=1)
-    keys = keys[:, 1:-1].ravel()
+    offsets = width * np.arange(len(multisets))[:, None]
+    keys = (_mask_sums(np.array(multisets))[:, 1:-1] + offsets).ravel()
     bits = _mask_bits(n)
     proper = len(bits) - 1
     counts = np.bincount(keys, minlength=len(multisets) * width)
@@ -338,7 +313,7 @@ def _admitted_pairs(
         pick = np.flatnonzero(size_class == cls)
         offsets = np.arange(sizes[pick].max())
         index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
-        full[pick] = _full_column_rank(bits[rows[index]])
+        full[pick] = _full_column_rank(bits[rows[index]])[:, -1] >= 0
     pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
     return pairs, len(multisets), len(tested)
 
@@ -350,13 +325,19 @@ def _scan_chunk(task: tuple[int, int, int]) -> tuple[list[SearchRecord], int, in
 
 
 def _chunk_structures(task: tuple[int, int, int]) -> Iterator[CombinatorialStructure]:
+    """One task's structures: the pivot rows of each admitted bucket (masks
+    ascending, padded with the zero row), sorted by mask, as its patterns."""
     n = task[0]
-    for multiset, z in _admitted_pairs(task)[0]:
-        chosen = _greedy_selection(n, _equal_sum_masks(multiset, z))
-        assert chosen is not None, "the rank test and the greedy selection disagree"
-        yield CombinatorialStructure(
-            n, multiset, z, tuple(_mask_positions(mask) for mask in chosen)
-        )
+    pairs = _admitted_pairs(task)[0]
+    if not pairs:
+        return
+    sums = _mask_sums(np.array([multiset for multiset, _ in pairs]))[:, 1:-1]
+    buckets = [np.flatnonzero(row == z) for row, (_, z) in zip(sums, pairs)]
+    height = max(map(len, buckets))
+    index = np.array([np.pad(b, (0, height - len(b)), constant_values=-1) for b in buckets])
+    for (multiset, z), bucket, rows in zip(pairs, buckets, _full_column_rank(_mask_bits(n)[index])):
+        patterns = tuple(_mask_positions(mask + 1) for mask in sorted(bucket[rows].tolist()))
+        yield CombinatorialStructure(n, multiset, z, patterns)
 
 
 def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStructure]:
@@ -491,26 +472,19 @@ def a_class_matrices(
     multiset: Sequence[int], z: int, limit: int = 20000
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All A-class sign matrices for one (multiset, Z), canonicalized and
-    deduplicated.  `limit` caps the number of raw selections examined;
-    exceeding it raises rather than returning a silently truncated list."""
+    deduplicated.  `limit` caps the number of raw selections, C(masks, n);
+    more raise before any is tested, rather than a silently truncated list."""
     multiset = tuple(multiset)
     n = len(multiset)
-    masks = [
-        sum(1 << p for p in pat) for pat in equal_sum_submultisets(multiset, z)
-    ]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    examined = 0
-    for combo in combinations(masks, n):
-        examined += 1
-        if examined > limit:
-            raise ValueError(f"more than {limit} selections; raise the limit to enumerate")
-        if _greedy_selection(n, combo) is None:
-            continue
-        matrix = [
-            [1 if (mask >> j) & 1 else -1 for j in range(n)] for mask in combo
-        ]
-        seen.add(_canonical_sign_matrix(matrix, multiset))
-    return sorted(seen)
+    if not _rank_test_exact(n):
+        raise ValueError(f"A-classes are exact only up to n = {MAX_SEARCH_QUBITS}")
+    masks = [sum(1 << p for p in pat) for pat in equal_sum_submultisets(multiset, z)]
+    if comb(len(masks), n) > limit:
+        raise ValueError(f"more than {limit} selections; raise the limit to enumerate")
+    combos = np.array(list(combinations(masks, n)), dtype=np.int64).reshape(-1, n)
+    bits = (combos[:, :, None] >> np.arange(n)) & 1
+    independent = bits[_full_column_rank(bits)[:, -1] >= 0]
+    return sorted({_canonical_sign_matrix((2 * b - 1).tolist(), multiset) for b in independent})
 
 
 def records_to_csv(records: Iterable[SearchRecord]) -> str:

@@ -98,8 +98,8 @@ def verify(
         raise ValueError(f"dense verification capped at {MAX_DENSE_QUBITS} qubits")
     if len(unitaries) != state.n:
         raise ValueError(f"need {state.n} local operators, got {len(unitaries)}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     assert_special_unitary(unitaries)
     vec = state.dense()
     out = apply_local_unitaries(vec, unitaries)
@@ -108,13 +108,6 @@ def verify(
     chi = wrap_angle(cmath.phase(ratio))
     residual = float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))
     return VerificationResult(residual <= tolerance, chi, residual)
-
-
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(2) via a normalized quaternion."""
-    q = rng.normal(size=4)
-    a, b, c, d = q / np.linalg.norm(q)
-    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
 def known_family(name: str, n: int, **params):

@@ -37,7 +37,8 @@ class SparseState:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("state needs at least one qubit")
-        if not 1 <= len(self.terms) <= 2 ** self.n:
+        # At most 2^n terms, tested without building 2^n for a huge declared n.
+        if not self.terms or (len(self.terms) - 1).bit_length() > self.n:
             raise ValueError(f"term count {len(self.terms)} outside 1..2^{self.n}")
         seen = set()
         for idx, (bits, amp) in enumerate(self.terms):
@@ -207,13 +208,3 @@ def bipartition_product_check(state: SparseState, subset: Iterable[int]) -> bool
     if len(sing) < 2 or sing[0] == 0:
         return True
     return sing[1] <= PRODUCT_RANK_TOLERANCE * sing[0]
-
-
-def tensor_product(a: SparseState, b: SparseState) -> SparseState:
-    """Concatenate qubits of two states (all amplitude products)."""
-    terms = tuple(
-        (abits + bbits, aamp * bamp)
-        for abits, aamp in a.terms
-        for bbits, bamp in b.terms
-    )
-    return SparseState(a.n + b.n, terms)

@@ -1,9 +1,11 @@
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from topophase import search
-from topophase.exactlinalg import kernel_lattice
+from topophase.exactlinalg import Echelon, kernel_lattice
+from topophase.states import SparseState
 
 
 def brute_force_det(rows):
@@ -22,6 +24,58 @@ def brute_force_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def rank_rational(rows):
+    """Exact rank over Q by the `Echelon` row step."""
+    ech = Echelon()
+    return sum(ech.add(row) for row in rows)
+
+
+def tensor_product(a, b):
+    """Concatenate qubits of two states (all amplitude products)."""
+    terms = tuple(
+        (abits + bbits, aamp * bamp)
+        for abits, aamp in a.terms
+        for bbits, bamp in b.terms
+    )
+    return SparseState(a.n + b.n, terms)
+
+
+def random_su2(rng):
+    """Haar-random SU(2) via a normalized quaternion."""
+    q = rng.normal(size=4)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+def python_mask_sums(values):
+    """Sum of `values` over every position mask, one Python step per mask:
+    the reference for the search's numpy doubling."""
+    sums = [0] * (1 << len(values))
+    for mask in range(1, 1 << len(values)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+def equal_sum_masks(values, z):
+    """Proper masks of `values` summing to z, ascending."""
+    sums = python_mask_sums(values)
+    return [mask for mask in range(1, (1 << len(values)) - 1) if sums[mask] == z]
+
+
+def greedy_selection(n, masks):
+    """First n masks whose augmented indicators (x, 1) are independent, by an
+    exact `Echelon` scan, or None: the reference for the search's pivots."""
+    ech = Echelon()
+    chosen = []
+    for mask in masks:
+        if ech.add([(mask >> j) & 1 for j in range(n)] + [1]):
+            chosen.append(mask)
+            if len(chosen) == n:
+                return chosen
+    return None
 
 
 def has_affine_dependence(rows):

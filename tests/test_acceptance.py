@@ -18,9 +18,10 @@ from conftest import (
     FIVE_QUBIT_MAXLEN_PI5,
     FIVE_QUBIT_PRINTED_THIRD,
     FIVE_QUBIT_SIX_TERM,
+    rank_rational,
 )
 from topophase import balance, search, stabilizers
-from topophase.exactlinalg import determinant, kernel_lattice, rank_rational
+from topophase.exactlinalg import determinant, kernel_lattice
 from topophase.states import (
     WeightMatrix,
     ghz_state,

@@ -17,6 +17,7 @@ from conftest import (
     brute_force_det,
     has_affine_dependence,
     subset_scan_irreducibility,
+    tensor_product,
 )
 from topophase.balance import (
     PhaseSet,
@@ -40,7 +41,6 @@ from topophase.states import (
     ghz_state,
     ones_plus_w_state,
     support_state,
-    tensor_product,
     w_state,
     weight_matrix,
     zeros_plus_w_state,

@@ -248,6 +248,27 @@ class TestVerify:
         assert main(["verify", ghz3_file, "--derive", "--tolerance", "0"]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("mode", [["--derive"], ["--phis", "1/2,1/4,1/4"],
+                                      ["--antidiag", "0,0,1/2"], ["--phis", "1/3,1/5,1/7"]],
+                             ids=["derive", "phis", "antidiag", "phis_not_eigen"])
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_non_finite_tolerance(self, ghz3_file, capsys, monkeypatch, mode, tolerance,
+                                  source):
+        # GHZ3 is no eigenstate of the last operator; an infinite tolerance
+        # once reported it as matched.
+        if source == "env":
+            monkeypatch.setenv("TOPOPHASE_TOLERANCE", tolerance)
+            extra = []
+        else:
+            extra = ["--tolerance", tolerance]
+        assert main(["verify", ghz3_file, *mode, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"topophase: tolerance must be finite and positive, got {tolerance}\n"
+        )
+
     def test_beyond_dense_limit(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "ghz21.json"
         save_state(ghz_state(21), path)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_det
+from conftest import brute_force_det, rank_rational
 from topophase.exactlinalg import (
     Echelon,
     convex_feasible,
     determinant,
     kernel_lattice,
-    rank_rational,
     solve_rational,
 )
 

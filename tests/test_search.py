@@ -1,11 +1,14 @@
+import hashlib
 import random
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import equal_sum_masks, greedy_selection, python_mask_sums
 from topophase.balance import (
     construct_state,
     convex_certificate,
@@ -233,7 +236,8 @@ class TestSearchTables:
     @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24)])
     def test_batched_scan_matches_greedy_on_every_bucket(self, n, bound):
         # The exact greedy rank scan over every bucket that has n masks, as the
-        # search decided it before the batched test.
+        # search decided it before the batched test; its first n independent
+        # masks are the patterns the structures carry.
         expected = []
         for task in search._search_tasks(n, bound):
             _, total, first = task
@@ -242,17 +246,59 @@ class TestSearchTables:
                 if gcd(*multiset) != 1:
                     continue
                 for z in range(1, (total - first) // 2 + 1):
-                    bucket = search._equal_sum_masks(multiset, z)
-                    if len(bucket) >= n and search._greedy_selection(n, bucket):
-                        expected.append((multiset, z))
+                    chosen = greedy_selection(n, equal_sum_masks(multiset, z))
+                    if chosen:
+                        patterns = tuple(search._mask_positions(mask) for mask in chosen)
+                        expected.append((multiset, z, patterns))
         got = [pair for task in search._search_tasks(n, bound)
                for pair in search._admitted_pairs(task)[0]]
-        assert got == expected
+        assert got == [(multiset, z) for multiset, z, _ in expected]
+        structures = [(s.multiset, s.z, s.patterns) for s in enumerate_structures(n, bound)]
+        assert structures == expected
+
+    def test_structure_hash(self):
+        # Byte identity of every structure the search derives, witnesses included.
+        digest = hashlib.sha256()
+        for n in range(3, 8):
+            for s in enumerate_structures(n, default_sum_bound(n)):
+                digest.update(repr((s.n, s.multiset, s.z, s.patterns)).encode())
+        assert digest.hexdigest() == (
+            "d27507bf919e93d39229cde93efa79ebbdc56b16ebbe4fd609961810c4765014"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=9), st.integers(1, 60))
+    def test_mask_sums_match_python_loop(self, values, z):
+        sums = search._mask_sums(np.array([values, values[::-1]]))
+        assert sums.tolist() == [python_mask_sums(values), python_mask_sums(values[::-1])]
+        assert equal_sum_submultisets(values, z) == [
+            search._mask_positions(mask) for mask in equal_sum_masks(values, z)
+        ]
+
+    def test_equal_sum_submultisets_exact_beyond_int64(self):
+        # Sums past 2^63 would wrap in int64 and match z = 2^62 spuriously.
+        big = 2 ** 62
+        values = (big,) * 6
+        assert equal_sum_submultisets(values, big) == [(j,) for j in range(6)]
+        fours = equal_sum_submultisets(values, 4 * big)
+        assert len(fours) == 15
+        assert fours == [search._mask_positions(mask) for mask in equal_sum_masks(values, 4 * big)]
 
 
-def _bucket_rank(rows, n):
+def _accepted_rows(rows):
+    """Indices of the rows `Echelon.add` accepts, scanning in order."""
     ech = Echelon()
-    return sum(ech.add(row) for row in rows) if rows else 0
+    return [i for i, row in enumerate(rows) if ech.add(list(row))]
+
+
+def _check_pivots(pivots, rows, n):
+    """Pivots of one matrix: columns before the first without a pivot hold
+    the rows `Echelon` accepts on those columns (the full basis when there
+    is no such column), and every later column holds -1."""
+    lead = next((k for k in range(n) if len(_accepted_rows([r[:k + 1] for r in rows])) <= k), n)
+    assert sorted(pivots[:lead]) == _accepted_rows([r[:lead] for r in rows])
+    assert list(pivots[lead:]) == [-1] * (n - lead)
+    return lead == n
 
 
 @st.composite
@@ -288,7 +334,10 @@ class TestBatchedRankTest:
         for b, rows in enumerate(buckets):
             stack[b, :len(rows)] = rows
         got = search._full_column_rank(stack)
-        assert got.tolist() == [_bucket_rank(rows, n) == n for rows in buckets]
+        assert got.shape == (len(buckets), n)
+        for pivots, rows in zip(got.tolist(), buckets):
+            full = _check_pivots(pivots, rows, n)
+            assert full == (len(_accepted_rows(rows)) == n) == (pivots[-1] >= 0)
 
     @pytest.mark.parametrize("n", [9, 12, 16, MAX_SEARCH_QUBITS])
     def test_large_entries_stay_exact(self, n):
@@ -297,9 +346,10 @@ class TestBatchedRankTest:
         rng = np.random.default_rng(n)
         mats = rng.integers(0, 2, size=(30, n + 2, n))
         mats[:10, :, -1] = mats[:10, :, 0]  # rank deficient
-        expected = [_bucket_rank(mat.tolist(), n) == n for mat in mats]
-        assert search._full_column_rank(mats).tolist() == expected
-        assert any(expected)
+        got = search._full_column_rank(mats).tolist()
+        expected = [_check_pivots(pivots, mat.tolist(), n) for pivots, mat in zip(got, mats)]
+        assert [pivots[-1] >= 0 for pivots in got] == expected
+        assert any(expected) and not all(expected)
 
     def test_exact_up_to_the_limit(self):
         assert search._rank_test_exact(MAX_SEARCH_QUBITS)
@@ -311,10 +361,13 @@ class TestBatchedRankTest:
             raise AssertionError("scanned a chunk")
 
         monkeypatch.setattr(search, "_scan_chunk", no_work)
+        monkeypatch.setattr(search, "_mask_sums", no_work)
         with pytest.raises(ValueError, match="n = 22"):
             search_tables(23)
         with pytest.raises(ValueError, match="n = 22"):
             next(enumerate_structures(23, 92))
+        with pytest.raises(ValueError, match="n = 22"):
+            a_class_matrices((1,) * 23, 1)
 
 
 class TestOracle:
@@ -391,6 +444,31 @@ class TestAClasses:
     def test_limit_enforced(self):
         with pytest.raises(ValueError, match="limit"):
             a_class_matrices((1, 1, 1, 1, 1, 1, 1), 3, limit=10)
+
+    def test_limit_edge(self):
+        # {1,1,1,1,1}, Z = 2: ten masks, C(10, 5) = 252 selections.
+        assert comb(len(equal_sum_submultisets((1,) * 5, 2)), 5) == 252
+        assert a_class_matrices((1,) * 5, 2, limit=252)
+        with pytest.raises(ValueError, match="more than 251 selections"):
+            a_class_matrices((1,) * 5, 2, limit=251)
+
+    def test_matches_greedy_per_selection(self, search_results, monkeypatch):
+        # Canonicalization is shared and costly, so compare the raw selections:
+        # each independent one, as its sign rows in mask order.
+        monkeypatch.setattr(search, "_canonical_sign_matrix",
+                            lambda matrix, multiset: tuple(map(tuple, matrix)))
+        cases = [(WORKED_SEVEN_QUBIT_MULTISET, 4)] + [
+            (rec.multiset, rec.z) for n in range(3, 7) for rec in search_results[n].records
+        ]
+        assert len(cases) == 21
+        for multiset, z in cases:
+            n = len(multiset)
+            expected = [
+                tuple(tuple(1 if mask >> j & 1 else -1 for j in range(n)) for mask in combo)
+                for combo in combinations(equal_sum_masks(multiset, z), n)
+                if greedy_selection(n, combo)
+            ]
+            assert a_class_matrices(multiset, z) == sorted(expected)
 
 
 def test_csv_format(search_results):

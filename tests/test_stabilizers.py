@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import FIVE_QUBIT_MAXLEN_PI5, FIVE_QUBIT_SIX_TERM, SEVEN_QUBIT_PI18
+from conftest import (
+    FIVE_QUBIT_MAXLEN_PI5,
+    FIVE_QUBIT_SIX_TERM,
+    SEVEN_QUBIT_PI18,
+    random_su2,
+    tensor_product,
+)
 from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
     antidiagonal_stabilizer,
@@ -13,7 +19,6 @@ from topophase.stabilizers import (
     assert_special_unitary,
     diagonal_stabilizer,
     known_family,
-    random_su2,
     verify,
     wrap_angle,
 )
@@ -21,7 +26,6 @@ from topophase.states import (
     SparseState,
     ghz_state,
     support_state,
-    tensor_product,
     w_state,
     weight_matrix,
 )

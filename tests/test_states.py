@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+from conftest import tensor_product
 from topophase.states import (
     SparseState,
     bipartition_product_check,
@@ -10,7 +12,6 @@ from topophase.states import (
     parse_state,
     state_to_json,
     support_state,
-    tensor_product,
     w_state,
     weight_matrix,
 )
@@ -60,6 +61,21 @@ class TestParseState:
     def test_term_count_cap(self):
         with pytest.raises(ValueError):
             SparseState(1, (("0", 1), ("1", 1), ("0", 1)))
+
+    def test_term_count_boundary(self):
+        full = tuple((format(i, "02b"), 1) for i in range(4))
+        assert SparseState(2, full).m == 4
+        with pytest.raises(ValueError, match=r"term count 5 outside 1\.\.2\^2"):
+            SparseState(2, full + (("00", 1),))
+        with pytest.raises(ValueError, match="term count 0"):
+            SparseState(2, ())
+
+    def test_huge_n_rejected_without_the_power(self):
+        # 2^n is never built: a billion-qubit declaration fails on its bitstring.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="term 0: bitstring '1' is not 1000000000 bits"):
+            parse_state('{"n":1000000000,"terms":[{"bits":"1"}]}')
+        assert time.perf_counter() - start < 1
 
 
 class TestWeightMatrix:
