@@ -4,70 +4,21 @@ evolution.
 Exact per-basis phase sets from integer kernel lattices of weight matrices,
 an exhaustive combinatorial search over maximal-length structures, exact
 representative-state construction, and numerical stabilizer verification.
+
+The package root holds the names README's library quick start uses; the rest
+lives in the submodules `balance`, `exactlinalg`, `search`, `stabilizers`
+and `states`.
 """
 
 from .balance import (
-    ClassificationFlags,
-    IrreducibilityResult,
     KernelCertificate,
     PhaseSet,
-    StabilizerSolution,
-    affine_certificate,
-    analysis_report,
-    bezout_inequivalence,
-    classify,
-    construct_state,
     convex_certificate,
-    irreducibility,
-    is_irreducible_maximal_length,
     phase_set,
-    positive_maximal_kernel,
     solve_stabilizer,
-    telescope,
     winding_for_phase,
 )
-from .exactlinalg import (
-    Rational,
-    convex_feasible,
-    determinant,
-    kernel_lattice,
-    solve_rational,
-)
-from .search import (
-    CombinatorialStructure,
-    SearchRecord,
-    SearchResult,
-    brute_force_oracle,
-    completeness_bound,
-    default_sum_bound,
-    enumerate_structures,
-    equal_sum_submultisets,
-    search_tables,
-    table_one_denominators,
-    uniqueness_check,
-    validate_structure,
-)
-from .stabilizers import (
-    VerificationResult,
-    antidiagonal_stabilizer,
-    diagonal_stabilizer,
-    known_family,
-    verify,
-)
-from .states import (
-    SparseState,
-    WeightMatrix,
-    bipartition_product_check,
-    ghz_state,
-    load_state,
-    ones_plus_w_state,
-    parse_state,
-    save_state,
-    state_to_json,
-    support_state,
-    w_state,
-    weight_matrix,
-    zeros_plus_w_state,
-)
+from .search import enumerate_structures, search_tables
+from .states import ghz_state, weight_matrix
 
 __version__ = "0.1.0"

@@ -153,17 +153,28 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _int_array(value, what: str) -> list[int]:
+    """A JSON array of integers; bool, float and str entries are refused."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ParseFailure(f"structure document: {what} must be an array of integers")
+    return value
+
+
 def _structure_from_doc(doc) -> search.CombinatorialStructure:
     if not isinstance(doc, dict) or not {"multiset", "Z", "patterns"} <= set(doc):
         raise ParseFailure("structure document needs 'multiset', 'Z' and 'patterns'")
+    multiset = tuple(_int_array(doc["multiset"], "'multiset'"))
+    if type(doc["Z"]) is not int:
+        raise ParseFailure("structure document: 'Z' must be an integer")
+    if not isinstance(doc["patterns"], list):
+        raise ParseFailure("structure document: 'patterns' must be an array")
+    patterns = tuple(
+        tuple(sorted(p - 1 for p in _int_array(pat, "each pattern")))
+        for pat in doc["patterns"]
+    )
     try:
-        multiset = tuple(int(x) for x in doc["multiset"])
-        z = int(doc["Z"])
-        patterns = tuple(
-            tuple(sorted(int(p) - 1 for p in pat)) for pat in doc["patterns"]
-        )
-        return search.CombinatorialStructure(len(multiset), multiset, z, patterns)
-    except (TypeError, ValueError) as exc:
+        return search.CombinatorialStructure(len(multiset), multiset, doc["Z"], patterns)
+    except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
 
 
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=_env("BOUND"),
                    help="multiset sum ceiling (default 4n)")
     p.add_argument("--complete", action="store_true",
-                   help="use the provable completeness bound (slow)")
+                   help="use the provable completeness bound (slow beyond n = 7)")
     p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
     p.add_argument("--format", choices=["csv", "json", "both"],
                    default=_env("FORMAT", "both"))

@@ -1,15 +1,18 @@
 """Exact integer and rational linear algebra.
 
-Three elimination schemes, each for its own job:
+The package has three elimination schemes, each for its own job; two are
+here:
 
-- `Echelon`, an incremental division-free row echelon form over the
-  integers.  `determinant` and `solve_rational` run on its one row step.
-  The search is not here: `search._full_column_rank` eliminates modulo a
-  prime in numpy, and its pivot rows are the search's witness patterns.
-- `kernel_lattice`, integer row reduction carrying a unimodular transform,
-  so the left kernel comes out as a basis of the full integer lattice.
+- `_reduce`, integer row reduction carrying a unimodular transform.
+  `kernel_lattice` reads the left kernel from the transform, as a basis of
+  the full integer lattice; `determinant` is the transform's sign times the
+  echelon diagonal; `solve_rational` back-substitutes over the pivot rows.
 - `convex_feasible`, a phase-1 simplex with Bland's rule in
   ``fractions.Fraction`` arithmetic.
+
+The third is the search's rank test, `search._full_column_rank`, which
+eliminates modulo a prime in numpy; its pivot rows are the search's witness
+patterns.
 
 Everything is arbitrary precision; no floating point anywhere.  Matrices are
 passed around as sequences of equal-length integer rows; all operations are
@@ -21,9 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
-
-# Exact scalar type used throughout the package for rational results.
-Rational = Fraction
 
 IntRows = Sequence[Sequence[int]]
 
@@ -59,29 +59,35 @@ def make_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
-    """Basis of the integer left-kernel lattice ``{c : c^T M = 0}``.
+def _reduce(rows: IntRows) -> tuple[list[list[int]], list[list[int]], int, int]:
+    """Integer row echelon form ``h = u M`` with ``u`` unimodular.
 
-    Row-reduces M over the integers while carrying a unimodular transform, so
-    the returned basis generates the full lattice (not a finite-index
-    sublattice) and every basis vector is primitive.  Empty list when M has
-    full row rank.
+    Column by column, the rows below the pivots found so far are reduced by
+    ``row -= q * pivot`` against the one with the smallest nonzero entry
+    until a single nonzero entry is left; that row is swapped up as the next
+    pivot.  Stops once every row holds a pivot.  Returns ``(h, u, rank,
+    sign)``: rows ``rank:`` of ``h`` are zero and ``sign = det u`` flips on
+    every swap of two distinct rows.
     """
     h = _copy_rows(rows)
     m = len(h)
     ncols = len(h[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
+    rank, sign = 0, 1
     for col in range(ncols):
+        if rank == m:
+            break
         while True:
-            live = [i for i in range(r, m) if h[i][col] != 0]
+            live = [i for i in range(rank, m) if h[i][col] != 0]
             if not live:
                 break
             if len(live) == 1:
                 i = live[0]
-                h[r], h[i] = h[i], h[r]
-                u[r], u[i] = u[i], u[r]
-                r += 1
+                if i != rank:
+                    h[rank], h[i] = h[i], h[rank]
+                    u[rank], u[i] = u[i], u[rank]
+                    sign = -sign
+                rank += 1
                 break
             pivot = min(live, key=lambda i: abs(h[i][col]))
             p = h[pivot][col]
@@ -96,70 +102,32 @@ def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
                     ui, up = u[i], u[pivot]
                     for j in range(m):
                         ui[j] -= q * up[j]
-    return [make_primitive(u[i]) for i in range(r, m)]
+    return h, u, rank, sign
 
 
-class Echelon:
-    """Incremental row echelon form of integer vectors, division-free.
+def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
+    """Basis of the integer left-kernel lattice ``{c : c^T M = 0}``.
 
-    `add` reduces a vector against the stored rows in the order they were
-    stored: a row whose pivot column holds 0 in the vector is skipped,
-    otherwise ``v = p*v - a*row`` with ``p`` the row's pivot entry and ``a``
-    the vector's entry there.  A nonzero remainder is stored divided by its
-    content, with its first nonzero column as pivot.  Every stored row is
-    zero in the pivot columns of the rows stored before it, so ordering the
-    columns by pivot makes the stored rows upper triangular.
-
-    A stored row is ``(mult * added - earlier rows) / content``, where
-    ``mult`` is the product of the pivot entries it was multiplied by.
-    ``scale_num`` and ``scale_den`` collect the products of the ``mult`` and
-    the content factors, so the stored rows' determinant is the added rows'
-    determinant times ``scale_num / scale_den``.
+    The basis is the rows of `_reduce`'s unimodular transform that take M to
+    zero rows, so it generates the full lattice (not a finite-index
+    sublattice) and every basis vector is primitive.  Empty list when M has
+    full row rank.
     """
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[int]]] = []
-        self.scale_num = 1
-        self.scale_den = 1
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Store the reduced vector; False when it lies in the span."""
-        v = list(vec)
-        mult = 1
-        for col, row in self.rows:
-            a = v[col]
-            if a:
-                p = row[col]
-                v = [x * p - y * a for x, y in zip(v, row)]
-                mult *= p
-        for col, x in enumerate(v):
-            if x:
-                g = gcd(*v)
-                if g != 1:
-                    v = [y // g for y in v]
-                self.rows.append((col, v))
-                self.scale_num *= mult
-                self.scale_den *= g
-                return True
-        return False
+    _, u, rank, _ = _reduce(rows)
+    return [make_primitive(vec) for vec in u[rank:]]
 
 
 def determinant(rows: IntRows) -> int:
-    """Exact determinant: the product of the echelon pivots, unscaled."""
-    mat = _copy_rows(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    """Exact determinant: the transform's sign times the echelon diagonal."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    ech = Echelon()
-    for row in mat:
-        if not ech.add(row):
-            return 0
-    cols = [col for col, _ in ech.rows]
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    prod = -1 if inversions % 2 else 1
-    for col, row in ech.rows:
-        prod *= row[col]
-    return prod * ech.scale_den // ech.scale_num
+    h, _, rank, det = _reduce(rows)
+    if rank < n:
+        return 0
+    for i in range(n):
+        det *= h[i][i]
+    return det
 
 
 def solve_rational(
@@ -168,25 +136,27 @@ def solve_rational(
     """Solve ``M x = b`` exactly over the rationals.
 
     Returns ``(particular_solution, num_free)`` with free variables set to
-    zero and ``num_free = cols - rank(M)``, or None when inconsistent.
+    zero and ``num_free = cols - rank(M)``, or None when inconsistent.  The
+    echelon form of ``[M*den | num]`` is back-substituted over its pivot
+    rows; every echelon form has the same pivot columns, and the solution
+    with the other variables at zero is unique.
     """
     mat = _copy_rows(rows)
     m = len(mat)
     if len(rhs) != m:
         raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
     ncols = len(mat[0]) if m else 0
-    ech = Echelon()
-    for row, b in zip(mat, map(Fraction, rhs)):
-        ech.add([x * b.denominator for x in row] + [b.numerator])
-    if any(col == ncols for col, _ in ech.rows):
-        return None  # a stored row reads 0 = nonzero
-    # Back-substitution: each row involves only the pivots of later rows.
+    augmented = [
+        [x * b.denominator for x in row] + [b.numerator] for row, b in zip(mat, map(Fraction, rhs))
+    ]
+    h, _, rank, _ = _reduce(augmented)
     x = [Fraction(0)] * ncols
-    solved: list[int] = []
-    for col, row in reversed(ech.rows):
-        x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in solved), row[col])
-        solved.append(col)
-    return tuple(x), ncols - len(ech.rows)
+    for row in reversed(h[:rank]):
+        col = next(c for c, v in enumerate(row) if v)
+        if col == ncols:
+            return None  # the pivot row reads 0 = nonzero
+        x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in range(col + 1, ncols)), row[col])
+    return tuple(x), ncols - rank
 
 
 def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:

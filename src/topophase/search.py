@@ -132,15 +132,20 @@ def default_sum_bound(n: int) -> int:
 
 
 def completeness_bound(n: int) -> int:
-    """Provable multiset-sum ceiling (n+1) * floor(n^(n/2)).
+    """Provable multiset-sum ceiling n * floor((n+1)^((n+1)/2) / 2^(n-1)) // (n+1).
 
-    Every coefficient including c0 is an n x n +-1 cofactor, hence Hadamard
-    bounded by n^(n/2); summing n+1 of them bounds the total, so enumerating
-    to this bound is exhaustive.
+    A structure's n+1 kernel coefficients (c0 for the all-ones row, then the
+    multiset) are the n x n +-1 minors of its sign matrix divided by their
+    gcd g.  Every n x n +-1 determinant is a multiple of 2^(n-1), so g is
+    too.  The coefficients are positive and sum to |det [W | 1]| / g, which
+    the Hadamard bound caps at (n+1)^((n+1)/2) / 2^(n-1).  On the Z range
+    the search scans, c0 = sum - 2Z >= c1 is the largest coefficient, so the
+    multiset sum is at most n/(n+1) of that total: 3, 4, 10, 24, 56 and 136
+    for n = 3..8.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return (n + 1) * isqrt(n ** n)
+    return n * (isqrt((n + 1) ** (n + 1)) // 2 ** (n - 1)) // (n + 1)
 
 
 def equal_sum_submultisets(values: Sequence[int], z: int) -> list[tuple[int, ...]]:

@@ -1,10 +1,13 @@
+import time
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import numpy as np
 import pytest
 
 from topophase import search
-from topophase.exactlinalg import Echelon, kernel_lattice
+from topophase.exactlinalg import kernel_lattice
 from topophase.states import SparseState
 
 
@@ -24,6 +27,55 @@ def brute_force_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+class Echelon:
+    """Incremental row echelon form of integer vectors, division-free: the
+    reference elimination for rank, pivot and solve checks.
+
+    `add` reduces a vector against the stored rows in the order they were
+    stored: a row whose pivot column holds 0 in the vector is skipped,
+    otherwise ``v = p*v - a*row`` with ``p`` the row's pivot entry and ``a``
+    the vector's entry there.  A nonzero remainder is stored divided by its
+    content, with its first nonzero column as pivot.  Every stored row is
+    zero in the pivot columns of the rows stored before it.
+    """
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, vec):
+        """Store the reduced vector; False when it lies in the span."""
+        v = list(vec)
+        for col, row in self.rows:
+            a = v[col]
+            if a:
+                p = row[col]
+                v = [x * p - y * a for x, y in zip(v, row)]
+        for col, x in enumerate(v):
+            if x:
+                g = gcd(*v)
+                self.rows.append((col, [y // g for y in v]))
+                return True
+        return False
+
+
+def echelon_solve(rows, rhs):
+    """Reference for `solve_rational`: back-substitution over the `Echelon`
+    rows of ``[M*den | num]``, free variables at 0."""
+    ncols = len(rows[0]) if rows else 0
+    ech = Echelon()
+    for row, b in zip(rows, map(Fraction, rhs)):
+        ech.add([x * b.denominator for x in row] + [b.numerator])
+    if any(col == ncols for col, _ in ech.rows):
+        return None
+    # Each stored row involves only the pivots of later rows.
+    x = [Fraction(0)] * ncols
+    solved = []
+    for col, row in reversed(ech.rows):
+        x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in solved), row[col])
+        solved.append(col)
+    return tuple(x), ncols - len(ech.rows)
 
 
 def rank_rational(rows):
@@ -136,3 +188,15 @@ def search_results():
 @pytest.fixture(scope="session")
 def search_result_7():
     return search.search_tables(7)
+
+
+@pytest.fixture(scope="session")
+def oracle_results():
+    """`brute_force_oracle(n)` for n = 3..5 as (records, seconds taken),
+    shared session-wide."""
+    out = {}
+    for n in (3, 4, 5):
+        start = time.monotonic()
+        records = search.brute_force_oracle(n)
+        out[n] = (records, time.monotonic() - start)
+    return out

@@ -1,11 +1,20 @@
+import hashlib
 import json
+import re
+from itertools import product
 
 import pytest
 
-from conftest import SEVEN_QUBIT_PI18, WORKED_SEVEN_QUBIT_SUPPORT
+from conftest import (
+    FIVE_QUBIT_MAXLEN_PI4,
+    FIVE_QUBIT_MAXLEN_PI5,
+    FIVE_QUBIT_SIX_TERM,
+    SEVEN_QUBIT_PI18,
+    WORKED_SEVEN_QUBIT_SUPPORT,
+)
 from topophase import balance, search, stabilizers
 from topophase.cli import main
-from topophase.states import ghz_state, save_state, support_state, w_state
+from topophase.states import ghz_state, save_state, support_state, w_state, weight_matrix
 
 
 def assert_one_line_error(capsys):
@@ -201,6 +210,37 @@ class TestConstruct:
         doc = json.loads(capsys.readouterr().out)
         assert [t["bits"] for t in doc["terms"]] == ["111", "100", "010", "001"]
 
+    WORKED = {
+        "multiset": [4, 3, 3, 1, 1, 1, 1],
+        "Z": 4,
+        "patterns": [[1], [2, 4], [2, 5], [2, 6], [2, 7], [3, 6], [4, 5, 6, 7]],
+    }
+
+    @pytest.mark.parametrize("change", [
+        {"multiset": [4.9, 3, 3, 1, 1, 1, True], "Z": 4.2},
+        {"multiset": [4.0, 3, 3, 1, 1, 1, 1]},
+        {"multiset": [4, 3, 3, 1, 1, 1, True]},
+        {"multiset": [4, 3, 3, 1, 1, 1, "1"]},
+        {"multiset": "4331111"},
+        {"multiset": {"4": 1}},
+        {"Z": 4.0},
+        {"Z": "4"},
+        {"Z": True},
+        {"Z": [4]},
+        {"patterns": [[1.0], [2, 4], [2, 5], [2, 6], [2, 7], [3, 6], [4, 5, 6, 7]]},
+        {"patterns": [["1"], [2, 4], [2, 5], [2, 6], [2, 7], [3, 6], [4, 5, 6, 7]]},
+        {"patterns": [[True], [2, 4], [2, 5], [2, 6], [2, 7], [3, 6], [4, 5, 6, 7]]},
+        {"patterns": [1, [2, 4], [2, 5], [2, 6], [2, 7], [3, 6], [4, 5, 6, 7]]},
+        {"patterns": "1 24 25 26 27 36 4567"},
+    ])
+    def test_non_integer_values_rejected(self, change, tmp_path, capsys):
+        src = tmp_path / "structure.json"
+        src.write_text(json.dumps({**self.WORKED, **change}))
+        out = tmp_path / "state.json"
+        assert main(["construct", str(src), "--out", str(out)]) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_singular_selection_rejected(self, tmp_path, capsys):
         spec = {"multiset": [1, 1, 1], "Z": 1, "patterns": [[1], [1], [2]]}
         src = tmp_path / "structure.json"
@@ -210,6 +250,34 @@ class TestConstruct:
 
 
 class TestVerify:
+    def test_derive_output_pinned(self, tmp_path, capsys):
+        # Each worked state gains the first three +-1 columns orthogonal to
+        # its kernel vector, so the stabilizer system has free parameters.
+        # The float residual's last bits depend on the platform's math
+        # library, so it is checked against the tolerance and left out of
+        # the hash; every exact field is hashed byte for byte.
+        digest = hashlib.sha256()
+        worked = [FIVE_QUBIT_SIX_TERM, FIVE_QUBIT_MAXLEN_PI4, FIVE_QUBIT_MAXLEN_PI5,
+                  SEVEN_QUBIT_PI18, WORKED_SEVEN_QUBIT_SUPPORT]
+        for bits in worked:
+            state = support_state(len(bits[0]), bits)
+            (kernel,) = weight_matrix(state).kernel
+            columns = [col for col in product((1, -1), repeat=state.m)
+                       if sum(c * x for c, x in zip(kernel, col)) == 0]
+            for col in columns[:3]:
+                state = balance.telescope(state, col)
+            path = tmp_path / f"t{state.n}.json"
+            save_state(state, path)
+            assert main(["verify", str(path), "--derive"]) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out)
+            assert doc["matched"] and doc["residual"] <= 1e-9
+            assert doc["free_parameters"] == 3
+            digest.update(re.sub(r'"residual": [^,]*,', '"residual": R,', out).encode())
+        assert digest.hexdigest() == (
+            "3a8bef69a3d1ad4661155f8e1734ce3083104ddd64de022265236080aac6f90d"
+        )
+
     def test_ghz3_derive(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file, "--derive"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_det, rank_rational
+from conftest import Echelon, brute_force_det, echelon_solve, rank_rational
 from topophase.exactlinalg import (
-    Echelon,
     convex_feasible,
     determinant,
     kernel_lattice,
@@ -27,6 +26,10 @@ sign_matrices = st.integers(1, 6).flatmap(
         st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+# The first row starts with 0, so the elimination swaps another row up.
+zero_led_matrices = st.one_of(small_matrices, sign_matrices).map(
+    lambda rows: [[0] + rows[0][1:]] + rows[1:]
+)
 
 
 class TestDeterminant:
@@ -43,8 +46,14 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant([[1, 2, 3], [4, 5, 6]])
 
+    def test_row_permutations(self):
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert determinant([[0, 2, 3], [0, 5, 7], [-1, 4, 4]]) == 1
+
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(small_matrices, sign_matrices))
+    @given(st.one_of(small_matrices, sign_matrices, zero_led_matrices))
     def test_matches_permutation_sum(self, rows):
         assert determinant(rows) == brute_force_det(rows)
 
@@ -130,13 +139,20 @@ class TestSolveRational:
     )
     def test_solution_substitutes(self, rows_n, data):
         rows, n = rows_n
-        rhs = data.draw(
-            st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows))
-        )
+        entries = data.draw(st.sampled_from((
+            st.integers(-5, 5),
+            st.fractions(-5, 5, max_denominator=6),
+        )))
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
         sol = solve_rational(rows, rhs)
+        assert sol == echelon_solve(rows, rhs)
         if sol is None:
             # independent consistency check: augmenting must raise the rank
-            assert rank_rational([list(r) + [b] for r, b in zip(rows, rhs)]) > rank_rational(rows)
+            augmented = [
+                [x * b.denominator for x in r] + [b.numerator]
+                for r, b in zip(rows, map(Fraction, rhs))
+            ]
+            assert rank_rational(augmented) > rank_rational(rows)
             return
         x, free = sol
         for row, b in zip(rows, rhs):

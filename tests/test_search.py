@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equal_sum_masks, greedy_selection, python_mask_sums
+from conftest import Echelon, equal_sum_masks, greedy_selection, python_mask_sums
 from topophase.balance import (
     construct_state,
     convex_certificate,
@@ -18,7 +18,6 @@ from topophase.balance import (
     positive_maximal_kernel,
 )
 from topophase import search
-from topophase.exactlinalg import Echelon
 from topophase.search import (
     MAX_SEARCH_QUBITS,
     CombinatorialStructure,
@@ -409,9 +408,12 @@ class TestOracle:
 
 class TestBounds:
     def test_completeness_bound_values(self):
-        assert completeness_bound(3) == 20
-        assert completeness_bound(5) == 330
-        assert completeness_bound(7) == 7256
+        assert [completeness_bound(n) for n in range(3, 9)] == [3, 4, 10, 24, 56, 136]
+
+    def test_completeness_bound_covers_oracle(self, oracle_results):
+        for n, (records, _) in oracle_results.items():
+            assert records
+            assert max(sum(rec.multiset) for rec in records) <= completeness_bound(n)
 
     def test_default_bound_covers_known_tables(self, search_results, search_result_7):
         for n in (3, 4, 5, 6):
@@ -429,6 +431,9 @@ class TestBounds:
     def test_complete_mode_adds_nothing_small_n(self, search_results):
         assert as_tuples(search_tables(3, completeness_bound(3)).records) == TRUE_RECORDS[3]
         assert as_tuples(search_tables(4, completeness_bound(4)).records) == TRUE_RECORDS[4]
+        for n in range(3, 7):
+            complete = search_tables(n, completeness_bound(n)).records
+            assert complete == search_tables(n, 4 * n + 16).records == search_results[n].records
 
 
 class TestAClasses:
