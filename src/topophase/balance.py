@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -23,7 +22,7 @@ from .exactlinalg import convex_feasible, kernel_lattice, solve_rational, vector
 from .states import (
     SparseState,
     WeightMatrix,
-    bipartition_product_check,
+    product_factors,
     support_state,
     weight_matrix,
 )
@@ -354,17 +353,7 @@ def _classify(
     """Classification flags and the strongest certificate (convex, else
     affine), running the simplex at most once."""
     single = state.m == 1
-    entangled = False
-    if state.n >= 2 and not single:
-        entangled = True
-        for size in range(1, state.n):
-            for subset in combinations(range(1, state.n), size - 1):
-                part = (0,) + subset  # fix qubit 0 to visit each split once
-                if bipartition_product_check(state, part):
-                    entangled = False
-                    break
-            if not entangled:
-                break
+    entangled = state.n >= 2 and not single and len(product_factors(state)) == 1
     affine = affine_certificate(w)
     # A convex certificate has a positive sum, so only an a-state has one.
     convex = convex_certificate(w) if affine is not None else None

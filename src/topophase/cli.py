@@ -99,7 +99,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _search_json(result: search.SearchResult, a_class_limit: int | None) -> str:
+def _search_json(result: search.SearchResult, a_class_limit: int | None,
+                 bound_source: str, complete: bool) -> str:
     records = []
     for rec in sorted(result.records):
         entry = {
@@ -116,6 +117,8 @@ def _search_json(result: search.SearchResult, a_class_limit: int | None) -> str:
     doc = {
         "n": result.n,
         "sum_bound": result.sum_bound,
+        "bound_source": bound_source,
+        "complete": complete,
         "records": records,
         "chi_min_denominators": list(result.denominators),
         "multisets_scanned": result.multisets_scanned,
@@ -130,12 +133,14 @@ def cmd_search(args) -> int:
     if args.format not in ("csv", "json", "both"):  # argparse skips choices for defaults
         raise ParseFailure(f"TOPOPHASE_FORMAT must be csv, json or both, not {args.format!r}")
     if args.complete:
-        bound = search.completeness_bound(args.n)
+        bound, source = search.completeness_bound(args.n), "provable"
     elif args.bound is not None:
-        bound = args.bound
+        bound, source = args.bound, "user"
     else:
-        bound = search.default_sum_bound(args.n)
+        bound, source = search.default_sum_bound(args.n), "default-4n"
     result = search.search_tables(args.n, bound, workers=args.workers)
+    # After the search, which refuses an n too large for this bound to be cheap.
+    provable = search.completeness_bound(args.n)
     base = args.out or f"search_n{args.n}"
     # Render everything before writing, so a failure leaves no partial output.
     texts = {}
@@ -143,9 +148,14 @@ def cmd_search(args) -> int:
         texts[base + ".csv"] = search.records_to_csv(result.records)
     if args.format in ("json", "both"):
         limit = args.a_class_limit if args.a_classes else None
-        texts[base + ".json"] = _search_json(result, limit)
+        texts[base + ".json"] = _search_json(result, limit, source, bound >= provable)
     for path, text in texts.items():
         _write_text(path, text)
+    if bound < provable:
+        sys.stderr.write(
+            f"topophase: warning: bound {bound} is below the provable completeness "
+            f"bound {provable} for n = {args.n}; the table may be truncated\n"
+        )
     phases = " ".join("pi" if d == 1 else f"pi/{d}" for d in result.denominators)
     sys.stdout.write(f"records: {len(result.records)}\n")
     sys.stdout.write(f"chi_min set: {phases}\n")

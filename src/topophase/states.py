@@ -186,25 +186,81 @@ def weight_matrix(state: SparseState) -> WeightMatrix:
     return WeightMatrix(state.m, state.n, rows)
 
 
+def product_factors(state: SparseState) -> tuple[tuple[int, ...], ...]:
+    """Unique finest tensor factorization: sorted blocks of qubit indices.
+
+    The amplitudes are the coefficients of the multilinear polynomial
+    f = sum_s a_s prod_{k: s_k = 1} x_k, and the state factorizes across a
+    bipartition exactly when f is a product of polynomials in the two
+    variable sets.  Split by qubits i and j, f = x_i x_j A + x_i B + x_j C + D
+    with A, B, C, D free of x_i and x_j.  The two qubits lie in different
+    blocks iff AD = BC: then unique factorization gives
+    f = (p x_i + r)(a x_j + b), and since f has degree at most one in every
+    variable the two factors share none.  Each pair not yet in one block is
+    tested by a sparse product and coupled blocks are merged, in
+    O(n^2 m^2) for m terms; no 2^k-sized array is built.
+
+    The amplitudes are first divided by their largest real or imaginary
+    part (abs() itself overflows past 1.3e308), so no product overflows and
+    the largest |a| lies in [1, sqrt 2].  A coefficient of AD - BC counts as
+    nonzero when it exceeds ``PRODUCT_RANK_TOLERANCE`` * sum |a|^2, which
+    scales like the products: the relative rank-1 tolerance, since a 2x2
+    block has |det| = s1*s2 and sum |a|^2 = s1^2 + s2^2.
+    """
+    n = state.n
+    scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
+    terms = [
+        (int(bits, 2), complex(amp.real / scale, amp.imag / scale))
+        for bits, amp in state.terms
+    ]
+    tol = PRODUCT_RANK_TOLERANCE * sum(abs(amp) ** 2 for _, amp in terms)
+    label = list(range(n))  # qubit -> block, merged by relabelling
+    for i in range(n):
+        for j in range(i + 1, n):
+            if label[i] != label[j] and _coupled(
+                terms, 1 << (n - 1 - i), 1 << (n - 1 - j), tol
+            ):
+                old = label[j]
+                label = [label[i] if x == old else x for x in label]
+    return tuple(sorted(
+        tuple(q for q in range(n) if label[q] == block) for block in set(label)
+    ))
+
+
+def _coupled(terms, bit_i: int, bit_j: int, tol: float) -> bool:
+    """Whether AD - BC has a coefficient above `tol` (see product_factors).
+
+    Terms are (bitstring as int, amplitude); A, B, C, D are keyed by the
+    remaining bits, and the monomial of two keys s, t, with exponents
+    s_k + t_k in 0..2, is (s & t, s ^ t).
+    """
+    rest = ~(bit_i | bit_j)
+    parts: tuple[dict, ...] = ({}, {}, {}, {})  # D (00), C (01), B (10), A (11)
+    for s, amp in terms:
+        parts[(2 if s & bit_i else 0) | (1 if s & bit_j else 0)][s & rest] = amp
+    d, c, b, a = parts
+    coef: dict[tuple[int, int], complex] = {}
+    for left, right, sign in ((a, d, 1), (b, c, -1)):
+        for s, x in left.items():
+            for t, y in right.items():
+                key = (s & t, s ^ t)
+                coef[key] = coef.get(key, 0) + sign * x * y
+    return any(abs(v) > tol for v in coef.values())
+
+
 def bipartition_product_check(state: SparseState, subset: Iterable[int]) -> bool:
     """True iff the state factorizes across the bipartition (subset | rest).
 
-    `subset` holds 0-based qubit indices.  The coefficient matrix of the
-    bipartition is tested for rank 1 numerically: second singular value below
-    ``PRODUCT_RANK_TOLERANCE`` relative to the first.
+    `subset` holds 0-based qubit indices.  The state factorizes across a
+    bipartition exactly when the subset is a union of blocks of
+    `product_factors`.
     """
-    part = sorted(set(subset))
+    part = set(subset)
     if not part or len(part) >= state.n:
         raise ValueError("subset must be a proper nonempty set of qubit indices")
     if any(q < 0 or q >= state.n for q in part):
         raise ValueError("qubit index out of range")
-    rest = [q for q in range(state.n) if q not in part]
-    mat = np.zeros((2 ** len(part), 2 ** len(rest)), dtype=complex)
-    for bits, amp in state.terms:
-        i = int("".join(bits[q] for q in part), 2)
-        j = int("".join(bits[q] for q in rest), 2) if rest else 0
-        mat[i, j] = amp
-    sing = np.linalg.svd(mat, compute_uv=False)
-    if len(sing) < 2 or sing[0] == 0:
-        return True
-    return sing[1] <= PRODUCT_RANK_TOLERANCE * sing[0]
+    return all(
+        part.issuperset(block) or part.isdisjoint(block)
+        for block in product_factors(state)
+    )

@@ -8,7 +8,7 @@ import pytest
 
 from topophase import search
 from topophase.exactlinalg import kernel_lattice
-from topophase.states import SparseState
+from topophase.states import PRODUCT_RANK_TOLERANCE, SparseState
 
 
 def brute_force_det(rows):
@@ -92,6 +92,49 @@ def tensor_product(a, b):
         for bbits, bamp in b.terms
     )
     return SparseState(a.n + b.n, terms)
+
+
+def dense_bipartition_product_check(state, subset):
+    """Reference for `bipartition_product_check`: the dense 2^|A| x 2^|B|
+    coefficient matrix of the split is rank 1, by its singular values."""
+    part = sorted(set(subset))
+    rest = [q for q in range(state.n) if q not in part]
+    mat = np.zeros((2 ** len(part), 2 ** len(rest)), dtype=complex)
+    for bits, amp in state.terms:
+        i = int("".join(bits[q] for q in part), 2)
+        j = int("".join(bits[q] for q in rest), 2) if rest else 0
+        mat[i, j] = amp
+    sing = np.linalg.svd(mat, compute_uv=False)
+    if len(sing) < 2 or sing[0] == 0:
+        return True
+    return sing[1] <= PRODUCT_RANK_TOLERANCE * sing[0]
+
+
+def subset_scan_entangled(state):
+    """Reference for the `n_partite_entangled` flag: no bipartition passes
+    the dense check.  Scans up to 2^(n-1) - 1 splits."""
+    if state.n < 2 or state.m == 1:
+        return False
+    for size in range(1, state.n):
+        for subset in combinations(range(1, state.n), size - 1):
+            # Qubit 0 is always in the subset, so each split is visited once.
+            if dense_bipartition_product_check(state, (0,) + subset):
+                return False
+    return True
+
+
+def brute_force_factors(state):
+    """Reference for `product_factors`: each qubit's block is the intersection
+    of every dense-separable subset (or its complement) that holds it."""
+    everything = frozenset(range(state.n))
+    blocks = [everything] * state.n
+    for size in range(1, state.n):
+        for subset in combinations(range(state.n), size):
+            if dense_bipartition_product_check(state, subset):
+                part = frozenset(subset)
+                blocks = [b & (part if q in part else everything - part)
+                          for q, b in enumerate(blocks)]
+    return tuple(sorted({tuple(sorted(b)) for b in blocks}))
 
 
 def random_su2(rng):

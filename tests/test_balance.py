@@ -474,6 +474,29 @@ class TestAnalysisReport:
         assert rep["maximal_length"] is True
         assert calls == {"kernel_lattice": 1, "determinant": 0}
 
+    def test_no_bipartition_scan(self, monkeypatch):
+        # A 2^(n-1) split scan would not finish on either state; the
+        # entanglement flag comes from one pairwise pass, with no
+        # `bipartition_product_check` call in any module that imported it.
+        import topophase
+
+        original = topophase.states.bipartition_product_check
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("bipartition_product_check called by a report")
+
+        patched = 0
+        for mod in [topophase, *vars(topophase).values()]:
+            if isinstance(mod, ModuleType) and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, no_scan)
+                patched += 1
+        assert patched
+        rng = random.Random(20)
+        wide = support_state(20, [format(s, "020b") for s in rng.sample(range(2 ** 20), 64)])
+        for state in (ghz_state(40), wide):
+            rep = analysis_report(state)
+            assert rep["flags"]["n_partite_entangled"] is True
+
     def test_ghz3_report(self):
         rep = analysis_report(ghz_state(3))
         assert rep["d"] == 2

@@ -179,6 +179,37 @@ class TestSearch:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n, flags, bound, source, complete", [
+        (5, ["--complete"], 10, "provable", True),
+        (7, ["--complete"], 56, "provable", True),
+        (5, [], 20, "default-4n", True),
+        (7, [], 28, "default-4n", False),
+        (5, ["--bound", "10"], 10, "user", True),
+        (5, ["--bound", "9"], 9, "user", False),
+    ])
+    def test_bound_provenance(self, tmp_path, capsys, n, flags, bound, source, complete):
+        base = str(tmp_path / "p")
+        assert main(["search", "--n", str(n), *flags, "--out", base]) == 0
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert (doc["sum_bound"], doc["bound_source"], doc["complete"]) == (
+            bound, source, complete)
+        err = capsys.readouterr().err
+        if complete:
+            assert err == ""
+        else:
+            provable = search.completeness_bound(n)
+            assert err == (
+                f"topophase: warning: bound {bound} is below the provable completeness "
+                f"bound {provable} for n = {n}; the table may be truncated\n"
+            )
+
+    def test_env_bound_is_user_and_warns_without_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOPHASE_BOUND", "7")
+        base = str(tmp_path / "env")
+        assert main(["search", "--n", "5", "--format", "csv", "--out", base]) == 0
+        assert (tmp_path / "env.csv").read_text() == GOLDEN_N5_CSV
+        assert capsys.readouterr().err.startswith("topophase: warning: bound 7 ")
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_json_counters(self, tmp_path, capsys, workers):
         base = str(tmp_path / "c")

@@ -4,12 +4,19 @@ import time
 
 import pytest
 
-from conftest import tensor_product
+from conftest import (
+    brute_force_factors,
+    dense_bipartition_product_check,
+    subset_scan_entangled,
+    tensor_product,
+)
+from topophase.balance import classify
 from topophase.states import (
     SparseState,
     bipartition_product_check,
     ghz_state,
     parse_state,
+    product_factors,
     state_to_json,
     support_state,
     w_state,
@@ -146,6 +153,110 @@ class TestBipartitionProductCheck:
         state = tensor_product(ghz_state(2), ghz_state(2))
         assert bipartition_product_check(state, [0, 1])
         assert not bipartition_product_check(state, [0])
+
+    def test_ghz30_half_split_is_entangled(self):
+        # A dense check would build a 2^15 x 2^15 complex matrix (16 GiB) here.
+        assert not bipartition_product_check(ghz_state(30), range(15))
+
+    def test_ghz_pair_splits_on_the_factor_boundary(self):
+        state = tensor_product(ghz_state(15), ghz_state(15))
+        assert bipartition_product_check(state, range(15))
+        assert bipartition_product_check(state, range(15, 30))
+        assert not bipartition_product_check(state, range(14))
+        assert not bipartition_product_check(state, range(16))
+
+
+AMPLITUDES = {
+    "unit": lambda rng: complex(1),
+    "gauss": lambda rng: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+    # Small exact values, so that sums of products cancel exactly.
+    "signed": lambda rng: complex(rng.choice([1, -1, 2, 1j])),
+}
+
+
+def random_state(rng, n, m, amps):
+    """m distinct random bitstrings on n qubits, amplitudes drawn by `amps`."""
+    support = rng.sample(range(2 ** n), m)
+    return SparseState(n, tuple((format(s, f"0{n}b"), AMPLITUDES[amps](rng)) for s in support))
+
+
+def permute_qubits(state, order):
+    """Qubit k of the result is qubit order[k] of `state`."""
+    return SparseState(state.n, tuple(
+        ("".join(bits[q] for q in order), amp) for bits, amp in state.terms
+    ))
+
+
+def corpus_state(rng, kind, n, amps):
+    """One state of the equivalence corpus, at most 16 terms."""
+    if kind == "random":
+        return random_state(rng, n, rng.randint(2, min(2 ** n, 16)), amps)
+    if kind == "tensor":
+        # 2-3 factors of random sizes, then the qubits are shuffled.
+        sizes = [1] * rng.randint(2, min(3, n))
+        for _ in range(n - len(sizes)):
+            sizes[rng.randrange(len(sizes))] += 1
+        cap = 4 if len(sizes) == 2 else 2
+        state = None
+        for size in sizes:
+            factor = random_state(rng, size, rng.randint(1, min(2 ** size, cap)), amps)
+            state = factor if state is None else tensor_product(state, factor)
+        return permute_qubits(state, rng.sample(range(n), n))
+    # Constant-bit qubits appended to a random state, then shuffled.
+    k = rng.randint(1, n - 1)
+    base = random_state(rng, k, rng.randint(2, min(2 ** k, 16)) if k > 1 else 2, amps)
+    consts = "".join(rng.choice("01") for _ in range(n - k))
+    state = SparseState(n, tuple((bits + consts, amp) for bits, amp in base.terms))
+    return permute_qubits(state, rng.sample(range(n), n))
+
+
+class TestProductFactors:
+    def test_matches_dense_references(self):
+        rng = random.Random(2024)
+        flags = {True: 0, False: 0}
+        for idx in range(330):
+            kind = ("random", "random", "tensor", "constant")[idx % 4]
+            n = 2 + idx % 9
+            state = corpus_state(rng, kind, n, ("unit", "gauss", "signed")[idx // 4 % 3])
+            factors = product_factors(state)
+            assert sorted(q for block in factors for q in block) == list(range(n))
+            entangled = subset_scan_entangled(state)
+            assert classify(state).n_partite_entangled == entangled, state
+            flags[entangled] += 1
+            if n <= 8:
+                assert factors == brute_force_factors(state), state
+            for _ in range(4):
+                subset = rng.sample(range(n), rng.randint(1, n - 1))
+                assert (bipartition_product_check(state, subset)
+                        == dense_bipartition_product_check(state, subset)), (state, subset)
+        assert min(flags.values()) >= 100, flags
+
+    def test_square_monomials_stay_apart(self):
+        # Split by qubits 0 and 2, AD - BC = i*x1 - i*x1^2: it vanishes on
+        # 0/1 values of x1 but not as a polynomial, and the state is entangled.
+        state = SparseState(3, (("111", 1j), ("010", -1), ("100", -1), ("000", 1)))
+        assert brute_force_factors(state) == ((0, 1, 2),)
+        assert product_factors(state) == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e170, 1e-170, -1e170j])
+    def test_extreme_amplitudes(self, scale):
+        ghz = SparseState(3, (("000", scale), ("111", scale)))
+        zero_bell = SparseState(3, (("000", scale), ("011", scale)))
+        assert product_factors(ghz) == ((0, 1, 2),)
+        assert product_factors(zero_bell) == ((0,), (1, 2))
+        assert classify(ghz).n_partite_entangled
+        assert not classify(zero_bell).n_partite_entangled
+
+    def test_largest_finite_amplitudes(self):
+        # abs() of these overflows; the parts are scaled first.
+        big = complex(1.7e308, -1.7e308)
+        assert product_factors(SparseState(2, (("00", big), ("11", big)))) == ((0, 1),)
+        product = SparseState(2, (("00", big), ("01", big), ("10", big), ("11", big)))
+        assert product_factors(product) == ((0,), (1,))
+
+    def test_single_term_and_single_qubit(self):
+        assert product_factors(support_state(3, ["101"])) == ((0,), (1,), (2,))
+        assert product_factors(support_state(1, ["0", "1"])) == ((0,),)
 
 
 def test_state_json_is_parseable_json():
