@@ -13,12 +13,13 @@ phases are exact rationals in units of pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlinalg import convex_feasible, kernel_lattice, solve_rational, vector_gcd
+from .exactlinalg import (convex_feasible, kernel_lattice, make_primitive, solve_integer,
+                          solve_rational)
 from .states import (
     SparseState,
     WeightMatrix,
@@ -70,7 +71,7 @@ class KernelCertificate:
         if self.kind not in ("affine", "convex"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         nonzero = [c for c in self.coefficients if c]
-        if not nonzero or vector_gcd(nonzero) != 1:
+        if not nonzero or gcd(*nonzero) != 1:
             raise ValueError("certificate must be primitive and nonzero")
         if self.kind == "affine" and self.total == 0:
             raise ValueError("affine certificate needs a nonzero sum")
@@ -147,39 +148,25 @@ def convex_certificate(w: WeightMatrix) -> Optional[KernelCertificate]:
     lam = convex_feasible(w.rows)
     if lam is None:
         return None
-    scale = lcm(*[f.denominator for f in lam]) if lam else 1
-    ints = [int(f * scale) for f in lam]
-    g = vector_gcd(ints)
-    return KernelCertificate(tuple(x // g for x in ints), "convex")
+    scale = lcm(*[f.denominator for f in lam])
+    return KernelCertificate(make_primitive([int(f * scale) for f in lam]), "convex")
 
 
 def irreducibility(w: WeightMatrix) -> IrreducibilityResult:
     """Inclusion-minimal row subset carrying a dependence with nonzero sum.
 
-    Such a dependence on some rows is one on every superset, so the state is
-    irreducible in this basis iff no single row can be dropped.  One pass
-    drops each row whose removal leaves such a dependence; what is left is
-    all rows exactly when the state is irreducible.  With a one-dimensional
-    kernel every dependence is a multiple of the basis vector, whose support
-    is the answer.  Raises ValueError when the input is not an a-state.
+    One exact solve of c [W | 1] = (0, ..., 0, 1): with the free variables
+    at zero, c lies on independent rows of [W | 1], where no other
+    dependence has sum 1, so no proper subset of its support carries one.
+    Irreducible iff that support is all rows, iff the kernel is one vector
+    with no zero entry (on a larger kernel some c_i is not a multiple of
+    sum(c)).  Raises ValueError when the input is not an a-state.
     """
-    basis = w.kernel
-    if not any(sum(v) for v in basis):
+    sol = solve_rational([*zip(*w.rows), (1,) * w.m], [0] * w.n + [1])
+    if sol is None:
         raise ValueError("not an a-state in this basis: no dependence with nonzero sum")
-    if len(basis) == 1:
-        supp = tuple(i for i, x in enumerate(basis[0]) if x)
-        return IrreducibilityResult(len(supp) == w.m, supp)
-    keep = list(range(w.m))
-    for i in range(w.m):
-        trial = [j for j in keep if j != i]
-        if any(sum(v) for v in kernel_lattice([w.rows[j] for j in trial])):
-            keep = trial
-    return IrreducibilityResult(len(keep) == w.m, tuple(keep))
-
-
-def augmented_rows(w: WeightMatrix) -> list[list[int]]:
-    """Rows of the stabilizer system matrix: weight rows with a -1 column."""
-    return [list(row) + [-1] for row in w.rows]
+    supp = tuple(i for i, x in enumerate(sol[0]) if x)
+    return IrreducibilityResult(len(supp) == w.m, supp)
 
 
 def is_irreducible_maximal_length(w: WeightMatrix) -> bool:
@@ -217,7 +204,7 @@ def solve_stabilizer(
     """
     if len(winding) != w.m:
         raise ValueError(f"winding length {len(winding)} does not match {w.m} rows")
-    sol = solve_rational(augmented_rows(w), [2 * a for a in winding])
+    sol = solve_rational([row + (-1,) for row in w.rows], [2 * a for a in winding])
     if sol is None:
         return None
     x, free = sol
@@ -234,54 +221,18 @@ def solve_stabilizer(
     )
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def winding_for_phase(w: WeightMatrix, multiple: int = 1) -> Optional[tuple[int, ...]]:
     """Winding numbers whose stabilizer solution has chi = multiple * chi_min.
 
-    None for continuous-phase inputs.  Works for any kernel dimension: the
-    winding vector is an integer extension of the functional
-    c -> -multiple * sum(c) / d on the kernel lattice.
+    None for continuous-phase inputs.  The stabilizer rows are consistent
+    with chi exactly when c . winding = -chi * sum(c) / 2 for every kernel
+    vector c, an integer system K a = t over the kernel basis.  That basis
+    spans a saturated lattice, so one `solve_integer` always finds a.
     """
-    basis = w.kernel
     d = phase_set(w).d
     if d == 0:
         return None
-    m = w.m
-    r = len(basis)
-    targets = [-multiple * sum(vec) // d for vec in basis]
-    # Integer solutions a of K a = t are read from the right kernel of
-    # [K | -t], taking a combination whose last coordinate is 1.
-    stacked = [[basis[i][j] for i in range(r)] for j in range(m)]
-    stacked.append([-t for t in targets])
-    combo = [0] * (m + 1)
-    g = 0
-    for vec in kernel_lattice(stacked):
-        if vec[m] == 0:
-            continue
-        g2, x, y = _ext_gcd(g, vec[m])
-        combo = [x * c + y * v for c, v in zip(combo, vec)]
-        g = g2
-        if g == 1:
-            break
-    if g != 1:
-        return None
-    if combo[m] == -1:
-        combo = [-c for c in combo]
-    return tuple(combo[:m])
+    return solve_integer(w.kernel, [-multiple * sum(vec) // d for vec in w.kernel])
 
 
 def construct_state(structure) -> SparseState:
@@ -383,7 +334,7 @@ def analysis_report(state: SparseState) -> dict:
         chi_min = "continuous"
     else:
         chi_min = {"num": ps.chi_min.numerator, "den": ps.chi_min.denominator}
-    irreducible = flags.a_state and irreducibility(w).irreducible
+    irreducible = flags.a_state and len(w.kernel) == 1 and all(w.kernel[0])  # see irreducibility
     return {
         "n": state.n,
         "m": state.m,
@@ -393,12 +344,6 @@ def analysis_report(state: SparseState) -> dict:
         "certificate_kind": cert.kind if cert else None,
         "irreducible": irreducible,
         "maximal_length": is_irreducible_maximal_length(w),
-        "flags": {
-            "n_partite_entangled": flags.n_partite_entangled,
-            "a_state": flags.a_state,
-            "c_state": flags.c_state,
-            "semistable_certified": flags.semistable_certified,
-            "single_term": flags.single_term,
-        },
+        "flags": asdict(flags),
         "basis": "computational",
     }

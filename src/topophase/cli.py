@@ -50,8 +50,11 @@ def _env(name: str, fallback=None):
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _load_state(path: str) -> states.SparseState:
@@ -65,9 +68,12 @@ def _load_state(path: str) -> states.SparseState:
 
 def _fraction_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        fracs = [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseFailure(f"expected comma-separated rationals, got {text!r}") from exc
+    if any(abs(f) > sys.float_info.max / 4 for f in fracs):  # pi * f overflows a float
+        raise ParseFailure(f"angle out of float range in {text!r}")
+    return fracs
 
 
 def _int_list(text: str) -> list[int]:
@@ -307,10 +313,9 @@ def cmd_oracle_check(args) -> int:
         raise InvariantViolation(
             f"oracle check supports 3 <= n <= {search.ORACLE_MAX_QUBITS}"
         )
-    oracle = search.brute_force_oracle(args.n)
-    totals = [sum(rec.multiset) for rec in oracle]
-    bound = max(max(totals, default=args.n), args.n) + 4
+    bound = search.completeness_bound(args.n)
     result = search.search_tables(args.n, bound, workers=args.workers)
+    oracle = search.brute_force_oracle(args.n)
     searched = set(result.records)
     missing = sorted(oracle - searched)
     extra = sorted(searched - oracle)

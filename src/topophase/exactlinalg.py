@@ -6,7 +6,9 @@ here:
 - `_reduce`, integer row reduction carrying a unimodular transform.
   `kernel_lattice` reads the left kernel from the transform, as a basis of
   the full integer lattice; `determinant` is the transform's sign times the
-  echelon diagonal; `solve_rational` back-substitutes over the pivot rows.
+  echelon diagonal; `solve_rational` back-substitutes over the pivot rows;
+  `solve_integer` reduces the transpose and forward-substitutes over its
+  pivot rows.
 - `convex_feasible`, a phase-1 simplex with Bland's rule in
   ``fractions.Fraction`` arithmetic.
 
@@ -38,16 +40,9 @@ def _copy_rows(rows: IntRows) -> list[list[int]]:
     return out
 
 
-def vector_gcd(vec: Sequence[int]) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
-
-
 def make_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide out the content and fix the sign of the first nonzero entry to +."""
-    g = vector_gcd(vec)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     out = [x // g for x in vec]
@@ -157,6 +152,29 @@ def solve_rational(
             return None  # the pivot row reads 0 = nonzero
         x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in range(col + 1, ncols)), row[col])
     return tuple(x), ncols - rank
+
+
+def solve_integer(rows: IntRows, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """One integer solution of ``M x = b``, or None when there is none.
+
+    `_reduce` on the transpose gives ``h = u M^T`` with ``u`` unimodular, so
+    the solutions are ``x = u^T y`` for integer ``y`` with ``y^T h = b^T``.
+    Forward substitution over the pivot rows of ``h`` fixes ``y`` there,
+    rounded down, and the rest of ``y`` is zero; there is a solution iff
+    this ``y`` then satisfies every column.
+    """
+    mat = _copy_rows(rows)
+    if len(rhs) != len(mat):
+        raise ValueError(f"rhs length {len(rhs)} does not match {len(mat)} rows")
+    ncols = len(mat[0]) if mat else 0
+    h, u, rank, _ = _reduce([list(col) for col in zip(*mat)])
+    y = []
+    for i in range(rank):
+        col = next(c for c, v in enumerate(h[i]) if v)
+        y.append((rhs[col] - sum(y[k] * h[k][col] for k in range(i))) // h[i][col])
+    if any(sum(y[k] * h[k][c] for k in range(rank)) != b for c, b in enumerate(rhs)):
+        return None
+    return tuple(sum(y[k] * u[k][j] for k in range(rank)) for j in range(ncols))
 
 
 def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:

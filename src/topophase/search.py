@@ -359,6 +359,8 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     are independent, and the merged result is sorted, so the output and the
     counters do not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if sum_bound is None:
         sum_bound = default_sum_bound(n)
     tasks = _search_tasks(n, sum_bound)

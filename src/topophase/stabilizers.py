@@ -91,8 +91,10 @@ def verify(
 
     chi is extracted from the amplitude ratio at the largest-magnitude input
     amplitude, then the residual max|U psi - e^{i chi} psi| is checked
-    globally, so the result does not depend on the input's global phase or
-    normalization.
+    globally after every amplitude is divided by the largest real or
+    imaginary part (as in `states.product_factors`), so the result does not
+    depend on the input's global phase or normalization and nothing
+    overflows.
     """
     if state.n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense verification capped at {MAX_DENSE_QUBITS} qubits")
@@ -101,7 +103,9 @@ def verify(
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     assert_special_unitary(unitaries)
-    vec = state.dense()
+    # Scale the m terms: dividing the dense vector would write all 2^n entries.
+    scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
+    vec = SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)).dense()
     out = apply_local_unitaries(vec, unitaries)
     anchor = int(np.argmax(np.abs(vec)))
     ratio = out[anchor] / vec[anchor]

@@ -150,10 +150,12 @@ def parse_state(text: str) -> SparseState:
                 raise ValueError(f"term {idx}: 'amp' must be a [re, im] pair")
             try:
                 amp = complex(float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"term {idx}: 'amp' entries must be numbers") from exc
-            if not cmath.isfinite(amp):
-                raise ValueError(f"term {idx}: 'amp' must be finite")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"term {idx}: 'amp' entries must be numbers in float range") from exc
+            # float() also takes strings such as "nan" and booleans.
+            if not cmath.isfinite(amp) or any(type(x) not in (int, float) for x in pair):
+                raise ValueError(f"term {idx}: 'amp' must be finite JSON numbers")
         terms.append((bits, amp))
     return SparseState(n, tuple(terms))
 

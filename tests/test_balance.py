@@ -169,12 +169,16 @@ class TestIrreducibility:
         seen = {"irreducible": 0, "reducible, kernel dim 1": 0, "kernel dim >= 2": 0}
         for _ in range(1000):
             n = rng.randint(3, 6)
-            w = wm(random_support_state(rng, n, rng.randint(2, min(2 ** n, 10))))
+            state = random_support_state(rng, n, rng.randint(2, min(2 ** n, 10)))
+            w = wm(state)
             if not any(sum(v) for v in w.kernel):
                 continue
             res = irreducibility(w)
             expected, smallest = subset_scan_irreducibility(w.rows)
             assert res.irreducible == expected, w.rows
+            # The kernel criterion, and the report flag that reads it.
+            assert (len(w.kernel) == 1 and all(w.kernel[0])) == expected, w.rows
+            assert analysis_report(state)["irreducible"] is expected
             if expected:
                 # A kernel of dimension two or more always leaves a proper subset.
                 assert len(w.kernel) == 1
@@ -188,6 +192,30 @@ class TestIrreducibility:
                    "reducible, kernel dim 1" if len(w.kernel) == 1 else "kernel dim >= 2")
             seen[key] += 1
         assert min(seen.values()) >= 20, seen
+
+    def test_wide_support_without_kernel_lattice(self, monkeypatch):
+        # The kernel of 64 rows in 20 dimensions has dimension 44 or more;
+        # irreducibility and winding_for_phase each answer with one solve and
+        # run no kernel computation beyond the cached basis.
+        import topophase.balance
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel_lattice called from balance")
+
+        monkeypatch.setattr(topophase.balance, "kernel_lattice", no_kernel)
+        rng = random.Random(20)
+        w = wm(support_state(20, [format(s, "020b") for s in rng.sample(range(2 ** 20), 64)]))
+        assert len(w.kernel) >= 44
+        res = irreducibility(w)
+        assert not res.irreducible
+        rows = [w.rows[i] for i in res.support]
+        assert has_affine_dependence(rows)
+        for k in range(len(rows)):
+            assert not has_affine_dependence(rows[:k] + rows[k + 1:])
+        d = phase_set(w).d
+        for k in (1, 2, -1, 3):
+            sol = solve_stabilizer(w, winding_for_phase(w, k))
+            assert (sol.chi - Fraction(2 * k, d)) % 2 == 0
 
 
 class TestMaximalLength:
@@ -287,6 +315,25 @@ class TestSolveStabilizer:
         w = wm(state)
         winding = winding_for_phase(w)
         assert solve_stabilizer(w, winding).chi == 1
+
+    def test_winding_for_phase_multiples_on_seeded_corpus(self):
+        rng = random.Random(909)
+        dims = {1: 0, 2: 0}
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            w = wm(random_support_state(rng, n))
+            d = phase_set(w).d
+            if d == 0:
+                assert winding_for_phase(w) is None
+                continue
+            dims[min(len(w.kernel), 2)] += 1
+            for k in (1, 2, -1, 3):
+                winding = winding_for_phase(w, k)
+                assert winding is not None and len(winding) == w.m, w.rows
+                assert all(type(a) is int for a in winding)
+                sol = solve_stabilizer(w, winding)
+                assert (sol.chi - Fraction(2 * k, d)) % 2 == 0, (w.rows, k)
+        assert min(dims.values()) >= 20, dims
 
     def test_winding_for_phase_continuous(self):
         assert winding_for_phase(wm(w_state(3))) is None

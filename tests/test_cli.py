@@ -14,7 +14,14 @@ from conftest import (
 )
 from topophase import balance, search, stabilizers
 from topophase.cli import main
-from topophase.states import ghz_state, save_state, support_state, w_state, weight_matrix
+from topophase.states import (
+    SparseState,
+    ghz_state,
+    save_state,
+    support_state,
+    w_state,
+    weight_matrix,
+)
 
 
 def assert_one_line_error(capsys):
@@ -82,6 +89,24 @@ class TestAnalyze:
         path.write_text(doc)
         assert main([command[0], str(path), *command[1:]]) == 1
         assert_one_line_error(capsys)
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["search", "analyze", "construct", "verify"])
+    def test_unwritable_out_is_one_line(self, command, ghz3_file, tmp_path, capsys):
+        structure = tmp_path / "structure.json"
+        structure.write_text('{"multiset": [1, 1, 1], "Z": 1, "patterns": [[1], [2], [3]]}')
+        argv = {
+            "search": ["search", "--n", "3"],
+            "analyze": ["analyze", ghz3_file],
+            "construct": ["construct", str(structure)],
+            "verify": ["verify", ghz3_file, "--derive"],
+        }[command]
+        missing = tmp_path / "no" / "such" / "dir" / "x"
+        assert main([*argv, "--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"topophase: cannot write {missing}") and err.count("\n") == 1, err
+        assert not (tmp_path / "no").exists()
 
 
 class TestSearch:
@@ -159,6 +184,18 @@ class TestSearch:
         assert main(["search", "--n", "3", "--a-classes", "--a-class-limit", "0",
                      "--out", base]) == 2
         assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "3", "--workers", "0"],
+        ["search", "--n", "3", "--workers", "-2"],
+        ["oracle-check", "--n", "3", "--workers", "0"],
+    ])
+    def test_workers_below_one_rejected(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"topophase: workers must be at least 1, got {argv[-1]}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exit_code(self, capsys):
@@ -386,6 +423,27 @@ class TestVerify:
             assert main(["verify", str(path), *mode]) == 2
             assert_one_line_error(capsys)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e300, 1.7e308, 1e-300, 1.2e308 * (1 + 1j)])
+    def test_derive_is_scale_invariant(self, scale, tmp_path, capsys):
+        # The pi/5 worked state with every amplitude scaled (the last scale's
+        # modulus is past the float range): the residual is measured relative
+        # to the largest real or imaginary part.
+        state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
+        path = tmp_path / "scaled.json"
+        save_state(SparseState(5, tuple((b, a * scale) for b, a in state.terms)), path)
+        assert main(["verify", str(path), "--derive"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matched"] is True and doc["residual"] <= 1e-9
+        assert doc["chi"] == {"num": -3, "den": 5}
+
+    @pytest.mark.parametrize("mode", ["--phis", "--antidiag"])
+    @pytest.mark.parametrize("angles", ["1e400,0,0", "0,-1e400,0", "1e308,0,0"])
+    def test_angle_beyond_float_range(self, mode, angles, ghz3_file, capsys):
+        assert main(["verify", ghz3_file, mode, angles]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("topophase: angle out of float range") and err.count("\n") == 1
+
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1
         assert main(["verify", ghz3_file, "--derive", "--phis", "0,0,0"]) == 1
@@ -395,6 +453,13 @@ class TestOracleCheck:
     def test_n3_passes(self, capsys):
         assert main(["oracle-check", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, records", [(3, 1), (4, 1)])
+    def test_searches_to_the_completeness_bound(self, n, records, capsys):
+        assert main(["oracle-check", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == (
+            f"oracle check n={n}: PASS ({records} records, bound {search.completeness_bound(n)})\n"
+        )
 
     def test_bad_n(self, capsys):
         assert main(["oracle-check", "--n", "6"]) == 2

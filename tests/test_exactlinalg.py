@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,6 +12,7 @@ from topophase.exactlinalg import (
     convex_feasible,
     determinant,
     kernel_lattice,
+    solve_integer,
     solve_rational,
 )
 
@@ -158,6 +161,49 @@ class TestSolveRational:
         for row, b in zip(rows, rhs):
             assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
         assert free == n - rank_rational(rows)
+
+
+class TestSolveInteger:
+    def test_rational_but_not_integer(self):
+        assert solve_integer([[2]], [1]) is None
+        assert solve_integer([[2, 4]], [3]) is None
+        assert solve_integer([[2, 0], [0, 3]], [4, 3]) == (2, 1)
+
+    def test_bezout_combination(self):
+        x, y = solve_integer([[6, 10]], [2])
+        assert 6 * x + 10 * y == 2
+
+    def test_inconsistent_and_empty(self):
+        assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+        assert solve_integer([[0, 0]], [0]) == (0, 0)
+        assert solve_integer([[0, 0]], [1]) is None
+        assert solve_integer([], []) == ()
+
+    def test_rhs_length_checked(self):
+        with pytest.raises(ValueError, match="rhs length"):
+            solve_integer([[1, 2]], [1, 2])
+
+    def test_matches_brute_force_box(self):
+        # A returned x must solve M x = b; when None comes back, no x in the
+        # box may solve it.  Both kinds of None occur: systems with only
+        # rational solutions and inconsistent ones.
+        rng = random.Random(4242)
+        box = range(-6, 7)
+        seen = {"integer": 0, "rational only": 0, "inconsistent": 0}
+        for _ in range(400):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            rhs = [rng.randint(-4, 4) for _ in range(rows)]
+            x = solve_integer(mat, rhs)
+            if x is not None:
+                assert all(type(v) is int for v in x) and len(x) == cols
+                assert [sum(a * v for a, v in zip(row, x)) for row in mat] == rhs
+                seen["integer"] += 1
+                continue
+            for cand in product(box, repeat=cols):
+                assert [sum(a * v for a, v in zip(row, cand)) for row in mat] != rhs, (mat, rhs)
+            seen["rational only" if solve_rational(mat, rhs) else "inconsistent"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestConvexFeasible:

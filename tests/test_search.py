@@ -211,6 +211,11 @@ class TestSearchTables:
         assert positive_maximal_kernel(w.rows) == (2, 2, 2, 1, 1, 1, 1)
         assert phase_set(w).d == 10
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            search_tables(4, workers=workers)
+
     def test_worker_count_does_not_change_output(self):
         single = search_tables(5, 12, workers=1)
         multi = search_tables(5, 12, workers=2)

@@ -57,6 +57,18 @@ class TestParseState:
         with pytest.raises(ValueError, match="term 0: 'amp' entries must be numbers"):
             parse_state('{"n":2,"terms":[{"bits":"00","amp":[[1], 0]}]}')
 
+    @pytest.mark.parametrize("amp", ['["1", 0]', "[true, 0]", "[0, false]", '[1, "0"]'])
+    def test_amplitude_must_be_json_numbers(self, amp):
+        with pytest.raises(ValueError, match="term 1: 'amp' must be finite JSON numbers"):
+            parse_state('{"n":2,"terms":[{"bits":"00"},{"bits":"11","amp":%s}]}' % amp)
+
+    def test_integer_amplitude_beyond_float_range(self):
+        with pytest.raises(ValueError, match="term 0: 'amp' entries must be numbers in float"):
+            parse_state('{"n":1,"terms":[{"bits":"0","amp":[1%s, 0]}]}' % ("0" * 400))
+
+    def test_integer_amplitude_accepted(self):
+        assert parse_state('{"n":1,"terms":[{"bits":"0","amp":[2, -3]}]}').terms == (("0", 2 - 3j),)
+
     def test_boolean_n(self):
         with pytest.raises(ValueError, match="'n' must be an integer"):
             parse_state('{"n":true,"terms":[{"bits":"1"}]}')
