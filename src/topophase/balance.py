@@ -265,12 +265,13 @@ def telescope(state: SparseState, new_column: Sequence[int]) -> SparseState:
 
     The appended column leaves the kernel lattice of the weight matrix
     unchanged, so the phase set is preserved exactly.  Columns outside the
-    rational column span are rejected.
+    rational column span are rejected, and so are entries that are not
+    integers (bool, float and str included).
     """
     w = weight_matrix(state)
-    col = [int(x) for x in new_column]
-    if len(col) != w.m or any(x not in (-1, 1) for x in col):
-        raise ValueError(f"new column must be +-1 of length {w.m}")
+    col = list(new_column)
+    if len(col) != w.m or any(type(x) is not int or x not in (-1, 1) for x in col):
+        raise ValueError(f"new column must be {w.m} integers, each +-1")
     if solve_rational(w.rows, col) is None:
         raise ValueError(
             "column not in the rational column span of the weight matrix; "

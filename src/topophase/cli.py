@@ -30,10 +30,6 @@ class ParseFailure(Exception):
     """Bad input file or malformed option value (exit 1)."""
 
 
-class InvariantViolation(Exception):
-    """Structurally valid input violating a documented invariant (exit 2)."""
-
-
 class VerificationMismatch(Exception):
     """A verification or cross-check failed (exit 3)."""
 
@@ -188,10 +184,7 @@ def _structure_from_doc(doc) -> search.CombinatorialStructure:
         tuple(sorted(p - 1 for p in _int_array(pat, "each pattern")))
         for pat in doc["patterns"]
     )
-    try:
-        return search.CombinatorialStructure(len(multiset), multiset, doc["Z"], patterns)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
+    return search.CombinatorialStructure(len(multiset), multiset, doc["Z"], patterns)
 
 
 def cmd_construct(args) -> int:
@@ -203,11 +196,8 @@ def cmd_construct(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{args.structure}: invalid JSON: {exc}") from exc
     structure = _structure_from_doc(doc)
-    try:
-        search.validate_structure(structure)
-        state = balance.construct_state(structure)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
+    search.validate_structure(structure)
+    state = balance.construct_state(structure)
     text = states.state_to_json(state)
     if args.out:
         _write_text(args.out, text)
@@ -239,7 +229,7 @@ def cmd_verify(args) -> int:
     if sum(chosen) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
     if state.n > stabilizers.MAX_DENSE_QUBITS:
-        raise InvariantViolation(
+        raise ValueError(
             f"dense verification capped at {stabilizers.MAX_DENSE_QUBITS} qubits"
         )
     tol = args.tolerance
@@ -247,7 +237,7 @@ def cmd_verify(args) -> int:
     if args.derive:
         w = states.weight_matrix(state)
         if balance.phase_set(w).continuous:
-            raise InvariantViolation(
+            raise ValueError(
                 "continuous phase family; no topological phase in this basis"
             )
         if args.winding is not None:
@@ -258,7 +248,7 @@ def cmd_verify(args) -> int:
             winding = [1] + [0] * (state.m - 1)
         solution = balance.solve_stabilizer(w, winding)
         if solution is None:
-            raise InvariantViolation(
+            raise ValueError(
                 "winding numbers are inconsistent for this support; no stabilizer"
             )
         unitaries = stabilizers.diagonal_stabilizer(
@@ -310,7 +300,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     if not 3 <= args.n <= search.ORACLE_MAX_QUBITS:
-        raise InvariantViolation(
+        raise ValueError(
             f"oracle check supports 3 <= n <= {search.ORACLE_MAX_QUBITS}"
         )
     bound = search.completeness_bound(args.n)
@@ -392,13 +382,10 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         sys.stderr.write(f"topophase: {exc}\n")
         return EXIT_USAGE
-    except InvariantViolation as exc:
-        sys.stderr.write(f"topophase: {exc}\n")
-        return EXIT_INVARIANT
     except VerificationMismatch as exc:
         sys.stderr.write(f"topophase: {exc}\n")
         return EXIT_MISMATCH
-    except ValueError as exc:  # a library precondition on the input failed
+    except ValueError as exc:  # the input violates an invariant
         sys.stderr.write(f"topophase: {exc}\n")
         return EXIT_INVARIANT
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from math import comb, gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -275,10 +275,11 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
 
 def _admitted_pairs(
     task: tuple[int, int, int]
-) -> tuple[list[tuple[tuple[int, ...], int]], int, int]:
+) -> tuple[list[tuple[tuple[int, ...], int]], int, int, np.ndarray]:
     """The (multiset, Z) pairs of one task that admit a structure, multisets
     in partition order and Z ascending, with the number of gcd-1 multisets
-    scanned and of rank tests run.
+    scanned, of rank tests run, and each pair's witness: the rows of
+    `_mask_bits(n)` (mask - 1) that its elimination chose as pivots.
 
     All multisets of a task share total and largest element, so n array
     doublings give every mask sum, one bincount every bucket size, and the
@@ -292,64 +293,52 @@ def _admitted_pairs(
         if gcd(first, *rest) == 1
     ]
     if not multisets:
-        return [], 0, 0
+        return [], 0, 0, np.empty((0, n), dtype=np.intp)
     width = total + 1  # bucket key = multiset index * width + mask sum
     offsets = width * np.arange(len(multisets))[:, None]
     keys = (_mask_sums(np.array(multisets))[:, 1:-1] + offsets).ravel()
     bits = _mask_bits(n)
     proper = len(bits) - 1
     counts = np.bincount(keys, minlength=len(multisets) * width)
-    candidate = np.zeros((len(multisets), width), dtype=bool)
-    zmax = (total - first) // 2
-    candidate[:, 1:zmax + 1] = counts.reshape(-1, width)[:, 1:zmax + 1] >= n
+    # Column 0 (Z = 0) is empty: every proper mask sum is at least 1.
+    candidate = counts.reshape(-1, width) >= n
+    candidate[:, (total - first) // 2 + 1:] = False
     candidate = candidate.ravel()
     tested = np.flatnonzero(candidate)
-    if not len(tested):
-        return [], len(multisets), 0
     # Member masks of the tested buckets, bucket by bucket, then the zero row.
     members = np.flatnonzero(candidate[keys])
     members = members[np.argsort(keys[members], kind="stable")]
     rows = np.append(members % proper, proper)
     sizes = counts[tested]
     starts = np.cumsum(sizes) - sizes
-    full = np.empty(len(tested), dtype=bool)
+    pivots = np.empty((len(tested), n), dtype=np.intp)
     size_class = np.frexp(sizes)[1]
     for cls in set(size_class.tolist()):
         pick = np.flatnonzero(size_class == cls)
         offsets = np.arange(sizes[pick].max())
         index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
-        full[pick] = _full_column_rank(bits[rows[index]])[:, -1] >= 0
+        pivots[pick] = _full_column_rank(bits[rows[index]])
+    full = pivots[:, -1] >= 0
     pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
-    return pairs, len(multisets), len(tested)
+    # A bucket's pivots count from its start in `rows`; the zero row never pivots.
+    return pairs, len(multisets), len(tested), rows[(starts[:, None] + pivots)[full]]
 
 
 def _scan_chunk(task: tuple[int, int, int]) -> tuple[list[SearchRecord], int, int]:
-    pairs, scanned, tests = _admitted_pairs(task)
+    pairs, scanned, tests, _ = _admitted_pairs(task)
     records = [SearchRecord(sum(multiset) - z, multiset, z) for multiset, z in pairs]
     return records, scanned, tests
 
 
-def _chunk_structures(task: tuple[int, int, int]) -> Iterator[CombinatorialStructure]:
-    """One task's structures: the pivot rows of each admitted bucket (masks
-    ascending, padded with the zero row), sorted by mask, as its patterns."""
-    n = task[0]
-    pairs = _admitted_pairs(task)[0]
-    if not pairs:
-        return
-    sums = _mask_sums(np.array([multiset for multiset, _ in pairs]))[:, 1:-1]
-    buckets = [np.flatnonzero(row == z) for row, (_, z) in zip(sums, pairs)]
-    height = max(map(len, buckets))
-    index = np.array([np.pad(b, (0, height - len(b)), constant_values=-1) for b in buckets])
-    for (multiset, z), bucket, rows in zip(pairs, buckets, _full_column_rank(_mask_bits(n)[index])):
-        patterns = tuple(_mask_positions(mask + 1) for mask in sorted(bucket[rows].tolist()))
-        yield CombinatorialStructure(n, multiset, z, patterns)
-
-
 def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStructure]:
     """Every valid structure with multiset sum <= sum_bound, one per
-    (multiset, Z) pair, in deterministic order."""
+    (multiset, Z) pair, in deterministic order; its patterns are the pair's
+    witness sorted by mask."""
     for task in _search_tasks(n, sum_bound):
-        yield from _chunk_structures(task)
+        pairs, _, _, witnesses = _admitted_pairs(task)
+        for (multiset, z), witness in zip(pairs, np.sort(witnesses, axis=1).tolist()):
+            patterns = tuple(_mask_positions(row + 1) for row in witness)
+            yield CombinatorialStructure(n, multiset, z, patterns)
 
 
 def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> SearchResult:
@@ -454,34 +443,24 @@ def brute_force_oracle(n: int) -> set[SearchRecord]:
     return records
 
 
-def _canonical_sign_matrix(
+def _sign_orbit(
     matrix: Sequence[Sequence[int]], multiset: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically minimal form under row sorting and value-preserving
-    column permutations."""
-    n = len(multiset)
-    groups: list[list[int]] = []
-    start = 0
-    for j in range(1, n + 1):
-        if j == n or multiset[j] != multiset[start]:
-            groups.append(list(range(start, j)))
-            start = j
-    best = None
-    for perm_parts in product(*(list(permutations(g)) for g in groups)):
-        perm = [p for part in perm_parts for p in part]
-        candidate = tuple(sorted(tuple(row[j] for j in perm) for row in matrix))
-        if best is None or candidate < best:
-            best = candidate
-    return best
+) -> set[tuple[tuple[int, ...], ...]]:
+    """Every row-sorted image of a sign matrix under the value-preserving
+    column permutations; its minimum is the canonical form."""
+    groups = [list(g) for _, g in groupby(range(len(multiset)), key=multiset.__getitem__)]
+    return {
+        tuple(sorted(tuple(row[j] for j in chain(*parts)) for row in matrix))
+        for parts in product(*(permutations(g) for g in groups))
+    }
 
 
-def a_class_matrices(
-    multiset: Sequence[int], z: int, limit: int = 20000
+def _independent_selections(
+    multiset: Sequence[int], z: int, limit: int
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All A-class sign matrices for one (multiset, Z), canonicalized and
-    deduplicated.  `limit` caps the number of raw selections, C(masks, n);
-    more raise before any is tested, rather than a silently truncated list."""
-    multiset = tuple(multiset)
+    """The n-mask selections of one (multiset, Z) with independent
+    indicators, as sign matrices with rows in mask order.  More than `limit`
+    raw selections, C(masks, n), raise before any is tested."""
     n = len(multiset)
     if not _rank_test_exact(n):
         raise ValueError(f"A-classes are exact only up to n = {MAX_SEARCH_QUBITS}")
@@ -490,8 +469,25 @@ def a_class_matrices(
         raise ValueError(f"more than {limit} selections; raise the limit to enumerate")
     combos = np.array(list(combinations(masks, n)), dtype=np.int64).reshape(-1, n)
     bits = (combos[:, :, None] >> np.arange(n)) & 1
-    independent = bits[_full_column_rank(bits)[:, -1] >= 0]
-    return sorted({_canonical_sign_matrix((2 * b - 1).tolist(), multiset) for b in independent})
+    independent = 2 * bits[_full_column_rank(bits)[:, -1] >= 0] - 1
+    return [tuple(map(tuple, matrix)) for matrix in independent.tolist()]
+
+
+def a_class_matrices(
+    multiset: Sequence[int], z: int, limit: int = 20000
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All A-class sign matrices for one (multiset, Z), ascending, each in
+    canonical form: lexicographically minimal under row sorting and
+    value-preserving column permutations.  Each orbit is built once, from
+    its first selection.  `limit` caps the raw selections, C(masks, n):
+    more raise rather than silently truncating the list."""
+    seen, classes = set(), []
+    for selection in _independent_selections(multiset, z, limit):
+        if tuple(sorted(selection)) not in seen:
+            orbit = _sign_orbit(selection, multiset)
+            seen |= orbit
+            classes.append(min(orbit))
+    return sorted(classes)
 
 
 def records_to_csv(records: Iterable[SearchRecord]) -> str:

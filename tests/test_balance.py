@@ -373,6 +373,13 @@ class TestTelescope:
         with pytest.raises(ValueError, match="span"):
             telescope(ghz_state(3), (1, 1))
 
+    @pytest.mark.parametrize("col", [
+        (1.5, -1.9), (1.0, -1.0), (True, -1), ("1", "-1"), (1, -1, 1), (1, 0),
+    ])
+    def test_column_must_be_integer_signs(self, col):
+        with pytest.raises(ValueError, match="integers, each"):
+            telescope(ghz_state(3), col)
+
     def test_duplicated_column_preserves_d(self):
         state = support_state(5, FIVE_QUBIT_SIX_TERM)
         col = tuple(row[0] for row in wm(state).rows)

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 
 import numpy as np
@@ -237,6 +237,23 @@ class TestSearchTables:
         structures = {s.record() for s in enumerate_structures(n, bound)}
         assert structures == set(search_tables(n, bound).records)
 
+    @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24), (7, 28)])
+    def test_structures_reuse_the_search_elimination(self, n, bound, monkeypatch):
+        # The witnesses come out of the search's own pass: enumerating the
+        # structures costs no mask sum and no rank test beyond the search's.
+        calls = {}
+        for name in ("_full_column_rank", "_mask_sums"):
+            def counted(*args, _name=name, _inner=getattr(search, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args)
+            monkeypatch.setattr(search, name, counted)
+        list(enumerate_structures(n, bound))
+        structures = dict(calls)
+        calls.clear()
+        search_tables(n, bound)
+        assert structures == calls
+        assert structures["_full_column_rank"] > 0
+
     @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24)])
     def test_batched_scan_matches_greedy_on_every_bucket(self, n, bound):
         # The exact greedy rank scan over every bucket that has n masks, as the
@@ -462,11 +479,9 @@ class TestAClasses:
         with pytest.raises(ValueError, match="more than 251 selections"):
             a_class_matrices((1,) * 5, 2, limit=251)
 
-    def test_matches_greedy_per_selection(self, search_results, monkeypatch):
-        # Canonicalization is shared and costly, so compare the raw selections:
-        # each independent one, as its sign rows in mask order.
-        monkeypatch.setattr(search, "_canonical_sign_matrix",
-                            lambda matrix, multiset: tuple(map(tuple, matrix)))
+    def test_matches_greedy_per_selection(self, search_results):
+        # Canonicalization is shared, so compare the raw selections: each
+        # independent one, as its sign rows in mask order.
         cases = [(WORKED_SEVEN_QUBIT_MULTISET, 4)] + [
             (rec.multiset, rec.z) for n in range(3, 7) for rec in search_results[n].records
         ]
@@ -478,7 +493,27 @@ class TestAClasses:
                 for combo in combinations(equal_sum_masks(multiset, z), n)
                 if greedy_selection(n, combo)
             ]
+            assert search._independent_selections(multiset, z, 20000) == expected
+
+    def test_canonical_forms_are_per_selection_minima(self, search_results):
+        # Reference: each selection canonicalized on its own, as the minimum
+        # over every value-preserving column permutation.  The all-ones n = 6
+        # rows (720 permutations of 2 530 selections) are pinned by count.
+        cases = [(WORKED_SEVEN_QUBIT_MULTISET, 4)] + [
+            (rec.multiset, rec.z) for n in range(3, 7) for rec in search_results[n].records
+            if len(set(rec.multiset)) > 1 or n < 6
+        ]
+        assert len(cases) == 19
+        for multiset, z in cases:
+            n = len(multiset)
+            perms = [p for p in permutations(range(n))
+                     if all(multiset[p[j]] == multiset[j] for j in range(n))]
+            expected = {
+                min(tuple(sorted(tuple(row[j] for j in p) for row in selection)) for p in perms)
+                for selection in search._independent_selections(multiset, z, 20000)
+            }
             assert a_class_matrices(multiset, z) == sorted(expected)
+        assert len(a_class_matrices((1,) * 6, 2)) == 9
 
 
 def test_csv_format(search_results):
