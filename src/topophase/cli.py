@@ -228,10 +228,6 @@ def cmd_verify(args) -> int:
     chosen = [bool(args.derive), args.phis is not None, args.antidiag is not None]
     if sum(chosen) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
-    if state.n > stabilizers.MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense verification capped at {stabilizers.MAX_DENSE_QUBITS} qubits"
-        )
     tol = args.tolerance
 
     if args.derive:

@@ -1,7 +1,9 @@
 """Numerical verification of stabilizer eigenphase relations.
 
-Materializes local SU(2) operators, applies them to dense state vectors, and
-checks U|psi> = e^{i chi}|psi> to a tolerance.  Eigenbasis convention
+Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to a
+tolerance.  A monomial operator (every factor diagonal or antidiagonal, as the
+CLI and `known_family` build) is applied term by term in O(n*m), any other to
+the dense 2^n vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
 throughout: |1> is the +1 eigenvector of a diagonal stabilizer, carrying
 e^{+i phi}; this matches the weight-matrix convention bit 1 -> +1, so the
 exact rational solutions produced by the balance analysis verify directly.
@@ -82,22 +84,46 @@ def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> n
     return psi.reshape(-1)
 
 
+def _apply_monomial(terms, unitaries):
+    """(psi, U psi) over the union of both supports in ascending dense index,
+    or None unless every factor is diagonal (f = 0) or antidiagonal (f = 1).
+    Each factor maps bit b to b ^ f with entry u[b ^ f, b] (its other entry
+    in column b is 0); the entries multiply in qubit order, as
+    `apply_local_unitaries` applies them."""
+    flips, entries = 0, []
+    for u in unitaries:
+        f = next((g for g in (0, 1) if u[1 - g, 0] == 0 and u[g, 1] == 0), None)
+        if f is None:
+            return None
+        flips = flips << 1 | f
+        entries.append((complex(u[f, 0]), complex(u[1 - f, 1])))
+    inputs, outputs = {}, {}
+    for bits, amp in terms:
+        inputs[int(bits, 2)] = amp
+        for pair, ch in zip(entries, bits):
+            amp *= pair[ch == "1"]
+        outputs[int(bits, 2) ^ flips] = amp
+    union = sorted(inputs.keys() | outputs.keys())
+    return tuple(np.array([side.get(i, 0) for i in union], dtype=complex)
+                 for side in (inputs, outputs))
+
+
 def verify(
     state: SparseState,
     unitaries: Sequence[np.ndarray],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationResult:
-    """Check U|psi> = e^{i chi}|psi> by dense tensor contraction.
+    """Check U|psi> = e^{i chi}|psi>: term by term for a monomial U, else by
+    dense tensor contraction, up to MAX_DENSE_QUBITS qubits.
 
     chi is extracted from the amplitude ratio at the largest-magnitude input
-    amplitude, then the residual max|U psi - e^{i chi} psi| is checked
-    globally after every amplitude is divided by the largest real or
-    imaginary part (as in `states.product_factors`), so the result does not
-    depend on the input's global phase or normalization and nothing
-    overflows.
+    amplitude (ties to the smallest dense index), and is 0.0, with no match,
+    where U|psi> vanishes there.  The residual max|U psi - e^{i chi} psi|,
+    over the union of both supports, is checked after every amplitude is
+    divided by the largest real or imaginary part (as in
+    `states.product_factors`), so the result does not depend on the input's
+    global phase or normalization and nothing overflows.
     """
-    if state.n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense verification capped at {MAX_DENSE_QUBITS} qubits")
     if len(unitaries) != state.n:
         raise ValueError(f"need {state.n} local operators, got {len(unitaries)}")
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -105,11 +131,16 @@ def verify(
     assert_special_unitary(unitaries)
     # Scale the m terms: dividing the dense vector would write all 2^n entries.
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
-    vec = SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)).dense()
-    out = apply_local_unitaries(vec, unitaries)
+    terms = tuple((b, amp / scale) for b, amp in state.terms)
+    applied = _apply_monomial(terms, unitaries)
+    if applied is None:
+        if state.n > MAX_DENSE_QUBITS:
+            raise ValueError(f"dense verification capped at {MAX_DENSE_QUBITS} qubits")
+        vec = SparseState(state.n, terms).dense()
+        applied = vec, apply_local_unitaries(vec, unitaries)
+    vec, out = applied
     anchor = int(np.argmax(np.abs(vec)))
-    ratio = out[anchor] / vec[anchor]
-    chi = wrap_angle(cmath.phase(ratio))
+    chi = wrap_angle(cmath.phase(out[anchor] / vec[anchor])) if out[anchor] else 0.0
     residual = float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))
     return VerificationResult(residual <= tolerance, chi, residual)
 

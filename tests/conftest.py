@@ -1,14 +1,17 @@
+import cmath
+import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
 import pytest
 
-from topophase import search
+from topophase import balance, search
 from topophase.exactlinalg import kernel_lattice
-from topophase.states import PRODUCT_RANK_TOLERANCE, SparseState
+from topophase.stabilizers import apply_local_unitaries
+from topophase.states import PRODUCT_RANK_TOLERANCE, SparseState, support_state, weight_matrix
 
 
 def brute_force_det(rows):
@@ -142,6 +145,32 @@ def random_su2(rng):
     q = rng.normal(size=4)
     a, b, c, d = q / np.linalg.norm(q)
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+def dense_verify(state, unitaries):
+    """Reference for `stabilizers.verify`: (chi, residual) from the dense
+    2^n vector, scaled by the largest real or imaginary part, with chi read
+    at the first largest-magnitude amplitude."""
+    scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
+    vec = SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)).dense()
+    out = apply_local_unitaries(vec, unitaries)
+    anchor = int(np.argmax(np.abs(vec)))
+    # chi is 0.0 where U psi vanishes at the anchor, as `verify` defines it.
+    chi = cmath.phase(out[anchor] / vec[anchor]) if out[anchor] else 0.0
+    return chi, float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))
+
+
+def telescoped(support, n, seed):
+    """The support state extended to n qubits by `balance.telescope`, each
+    new column a seeded +-1 column orthogonal to the single kernel vector."""
+    state = support_state(len(support[0]), support)
+    (kernel,) = weight_matrix(state).kernel
+    columns = [list(col) for col in product((1, -1), repeat=state.m)
+               if sum(c * x for c, x in zip(kernel, col)) == 0]
+    rng = random.Random(seed)
+    while state.n < n:
+        state = balance.telescope(state, rng.choice(columns))
+    return state
 
 
 def python_mask_sums(values):

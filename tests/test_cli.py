@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     FIVE_QUBIT_SIX_TERM,
     SEVEN_QUBIT_PI18,
     WORKED_SEVEN_QUBIT_SUPPORT,
+    telescoped,
 )
 from topophase import balance, search, stabilizers
 from topophase.cli import main
@@ -405,23 +407,28 @@ class TestVerify:
             f"topophase: tolerance must be finite and positive, got {tolerance}\n"
         )
 
-    def test_beyond_dense_limit(self, tmp_path, capsys, monkeypatch):
+    def test_beyond_dense_limit(self, tmp_path, capsys):
+        # Diagonal operators are monomial, so 21 qubits need no 2^21 vector.
         path = tmp_path / "ghz21.json"
         save_state(ghz_state(21), path)
-        assert main(["verify", str(path), "--derive"]) == 2
-        assert_one_line_error(capsys)
+        for mode in (["--derive"], ["--phis", ",".join(["0"] * 21)]):
+            assert main(["verify", str(path), *mode]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["matched"] is True and doc["residual"] <= 1e-9
 
-        # Refused before any exact or dense work, in every mode.
-        def no_work(*args, **kwargs):
-            raise AssertionError("did work on an oversized state")
+    def test_derive_on_64_qubits(self, tmp_path, capsys, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("built a 2^n vector for a monomial operator")
 
-        for module, name in [(balance, "phase_set"), (balance, "solve_stabilizer"),
-                             (stabilizers, "verify")]:
-            monkeypatch.setattr(module, name, no_work)
-        angles = ",".join(["0"] * 21)
-        for mode in (["--derive"], ["--phis", angles], ["--antidiag", angles]):
-            assert main(["verify", str(path), *mode]) == 2
-            assert_one_line_error(capsys)
+        monkeypatch.setattr(SparseState, "dense", no_dense)
+        monkeypatch.setattr(stabilizers, "apply_local_unitaries", no_dense)
+        path = tmp_path / "t64.json"
+        save_state(telescoped(FIVE_QUBIT_MAXLEN_PI5, 64, seed=64), path)
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--derive"]) == 0
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matched"] is True and doc["chi"] == {"num": -3, "den": 5}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1.0, 1e9, 1e300, 1.7e308, 1e-300, 1.2e308 * (1 + 1j)])

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FIVE_QUBIT_MAXLEN_PI4,
     FIVE_QUBIT_MAXLEN_PI5,
     FIVE_QUBIT_SIX_TERM,
     SEVEN_QUBIT_PI18,
+    dense_verify,
     random_su2,
+    telescoped,
     tensor_product,
 )
+from topophase import stabilizers
 from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
+    FAMILY_NAMES,
     antidiagonal_stabilizer,
     apply_local_unitaries,
     assert_special_unitary,
@@ -100,13 +105,99 @@ class TestVerify:
             verify(ghz_state(3), diagonal_stabilizer([0.0]), TOL)
 
     def test_qubit_cap(self):
+        # Only a non-monomial operator needs the dense vector, and only it is capped.
+        rng = np.random.default_rng(21)
         big = support_state(21, ["0" * 21])
         with pytest.raises(ValueError, match="capped"):
-            verify(big, diagonal_stabilizer([0.0] * 21), TOL)
+            verify(big, [random_su2(rng) for _ in range(21)], TOL)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, -1.0, math.pi / 2])
+    def test_anchor_moved_off_the_support(self, delta):
+        # The first factor maps GHZ3's support onto {100, 011}: no amplitude
+        # is left at the anchor, so chi is 0.0 and the state does not match.
+        u = antidiagonal_stabilizer([delta]) + diagonal_stabilizer([0.0, 0.0])
+        res = verify(ghz_state(3), u, TOL)
+        assert not res.matched and res.chi == 0.0
+        assert res.residual == pytest.approx(1.0, abs=1e-15)
 
     def test_tolerance_positive(self):
         with pytest.raises(ValueError, match="tolerance"):
             verify(ghz_state(2), diagonal_stabilizer([0.0, 0.0]), 0.0)
+
+
+def random_monomial(rng, n, quarter):
+    """n factors, each diagonal or antidiagonal at random.  With `quarter`
+    the diagonal angles are multiples of pi/2, so U^2 is +-identity; the
+    sign is returned too."""
+    factors, sign = [], 1
+    for _ in range(n):
+        if rng.random() < 0.5:
+            factors += antidiagonal_stabilizer([rng.uniform(-math.pi, math.pi)])
+            sign = -sign
+        elif quarter:
+            k = rng.randint(-2, 2)
+            factors += diagonal_stabilizer([k * math.pi / 2])
+            sign *= (-1) ** k
+        else:
+            factors += diagonal_stabilizer([rng.uniform(-math.pi, math.pi)])
+    return factors, sign
+
+
+def random_state(rng, n, m):
+    # A small amplitude palette, so the largest magnitude is often tied.
+    palette = (1, -1, 1j, -1j, 1 + 1j, 0.5 - 2j, 2, rng.uniform(-3, 3))
+    support = rng.sample(range(2 ** n), m)
+    return SparseState(n, tuple((format(i, f"0{n}b"), complex(rng.choice(palette)))
+                                for i in support))
+
+
+def eigen_state(state, factors, sign):
+    """psi + U psi / lam, an eigenvector of U with eigenvalue lam, lam^2 = sign."""
+    lam = 1 if sign > 0 else 1j
+    vec = state.dense()
+    phi = vec + apply_local_unitaries(vec, factors) / lam
+    return SparseState(state.n, tuple((format(int(i), f"0{state.n}b"), complex(phi[i]))
+                                      for i in np.flatnonzero(phi)))
+
+
+class TestMonomialApply:
+    """The term-by-term apply against the dense reference `dense_verify`."""
+
+    @staticmethod
+    def assert_agrees(state, factors):
+        res = verify(state, factors, TOL)
+        chi, residual = dense_verify(state, factors)
+        assert res.matched == (residual <= TOL)
+        assert abs(res.residual - residual) <= 1e-12
+        if res.matched:
+            assert abs(wrap_angle(res.chi - chi)) <= 1e-12
+        return res
+
+    def test_seeded_corpus(self):
+        rng = random.Random(1101)
+        matched = unmatched = 0
+        for case in range(400):
+            n = rng.randint(1, 12)
+            eigen = case % 2 == 1
+            m = rng.randint(1, min(10 if eigen else 20, 2 ** n))
+            factors, sign = random_monomial(rng, n, quarter=eigen or rng.random() < 0.5)
+            state = random_state(rng, n, m)
+            if eigen:
+                state = eigen_state(state, factors, sign)
+            res = self.assert_agrees(state, factors)
+            matched += res.matched
+            unmatched += not res.matched
+        assert matched >= 150 and unmatched >= 150
+
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_telescoped_structure_states(self, n):
+        support = (FIVE_QUBIT_MAXLEN_PI5, FIVE_QUBIT_MAXLEN_PI4, FIVE_QUBIT_SIX_TERM)[n % 3]
+        state = telescoped(support, n, seed=n)
+        sol = solve_stabilizer(weight_matrix(state), winding_for_phase(weight_matrix(state)))
+        derived = diagonal_stabilizer([float(f) * math.pi for f in sol.phis])
+        assert self.assert_agrees(state, derived).matched
+        factors, _ = random_monomial(random.Random(n), n, quarter=False)
+        assert not self.assert_agrees(state, factors).matched
 
 
 class TestKnownFamilies:
@@ -163,6 +254,20 @@ class TestKnownFamilies:
             res = verify(st, u, TOL)
             assert res.matched and angles_close(res.chi, chi)
             assert angles_close(chi, 0.0) or angles_close(chi, math.pi)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_thirty_qubits_without_a_dense_vector(self, name, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("built a 2^n vector for a monomial operator")
+
+        monkeypatch.setattr(SparseState, "dense", no_dense)
+        monkeypatch.setattr(stabilizers, "apply_local_unitaries", no_dense)
+        params = {"ghz": {"p": 1, "angles": (0.1,) * 29}, "ghz_antidiag": {"q": 1},
+                  "ones_plus_w": {"qs": (1,) + (0,) * 30}, "w": {"alpha": 0.3},
+                  "zeros_plus_w": {"alpha": math.pi}}[name]
+        st, u, chi = known_family(name, 30, **params)
+        res = verify(st, u, TOL)
+        assert res.matched and angles_close(res.chi, chi)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
