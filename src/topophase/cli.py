@@ -17,6 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from . import balance, search, stabilizers, states
 
@@ -70,6 +71,18 @@ def _fraction_list(text: str) -> list[Fraction]:
     if any(abs(f) > sys.float_info.max / 4 for f in fracs):  # pi * f overflows a float
         raise ParseFailure(f"angle out of float range in {text!r}")
     return fracs
+
+
+def _radians(fracs: Sequence[Fraction]) -> list[float]:
+    """Exact angles in units of pi as float radians.  Each is reduced mod 2
+    first, keeping its sign (the stabilizer factors have period 2 pi), so a
+    large angle keeps its residue; an angle in (-2, 2) is unchanged.  The
+    reduction is in integers, and int / int rounds once, as float(f) does."""
+    out = []
+    for f in fracs:
+        rest = abs(f.numerator) % (2 * f.denominator)
+        out.append((rest if f.numerator >= 0 else -rest) / f.denominator * math.pi)
+    return out
 
 
 def _int_list(text: str) -> list[int]:
@@ -247,9 +260,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 "winding numbers are inconsistent for this support; no stabilizer"
             )
-        unitaries = stabilizers.diagonal_stabilizer(
-            [float(f) * math.pi for f in solution.phis]
-        )
+        unitaries = stabilizers.diagonal_stabilizer(_radians(solution.phis))
         result = stabilizers.verify(state, unitaries, tol)
         agrees = (
             abs(stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)) <= tol
@@ -274,15 +285,13 @@ def cmd_verify(args) -> int:
         fractions = _fraction_list(args.phis)
         if len(fractions) != state.n:
             raise ParseFailure(f"--phis needs {state.n} rationals (units of pi)")
-        unitaries = stabilizers.diagonal_stabilizer([float(f) * math.pi for f in fractions])
+        unitaries = stabilizers.diagonal_stabilizer(_radians(fractions))
         bound = lcm(*[f.denominator for f in fractions], 1)
     else:
         fractions = _fraction_list(args.antidiag)
         if len(fractions) != state.n:
             raise ParseFailure(f"--antidiag needs {state.n} rationals (units of pi)")
-        unitaries = stabilizers.antidiagonal_stabilizer(
-            [float(f) * math.pi for f in fractions]
-        )
+        unitaries = stabilizers.antidiagonal_stabilizer(_radians(fractions))
         bound = 2 * lcm(*[f.denominator for f in fractions], 1)
     result = stabilizers.verify(state, unitaries, tol)
     chi_frac = _snap_phase(result.chi, bound, tol) if result.matched else None

@@ -9,8 +9,13 @@ here:
   echelon diagonal; `solve_rational` back-substitutes over the pivot rows;
   `solve_integer` reduces the transpose and forward-substitutes over its
   pivot rows.
-- `convex_feasible`, a phase-1 simplex with Bland's rule in
-  ``fractions.Fraction`` arithmetic.
+- `convex_feasible`, a phase-1 simplex with Bland's rule on an integer
+  tableau over one common denominator ``D`` (Edmonds' integer-preserving
+  pivot, as in Bareiss' elimination).  Each pivot divides every non-pivot
+  row by the previous ``D`` exactly; the division is checked with
+  ``divmod`` and a remainder raises ArithmeticError.  The ratio test
+  compares cross-products, so no fraction is formed until the weights are
+  returned.
 
 The third is the search's rank test, `search._full_column_rank`, which
 eliminates modulo a prime in numpy; its pivot rows are the search's witness
@@ -182,8 +187,18 @@ def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:
 
     Returns rational weights lambda with lambda_j >= 0, sum 1 and
     ``sum_j lambda_j rows[j] = 0`` when feasible, else None.  Solved as a
-    phase-1 simplex with Bland's rule (guaranteed termination), pivoting in
-    exact rational arithmetic.
+    phase-1 simplex with Bland's rule (guaranteed termination) on an integer
+    tableau ``T`` over one common denominator ``D``, starting at 1: the
+    rational tableau is ``T / D``, and each basic column holds ``D`` in its
+    row.  A pivot at ``(r, e)`` with ``p = T[r][e] > 0`` keeps row ``r``,
+    sets every other row and the reduced-cost row to
+    ``(p * row - row[e] * T[r]) / D`` and then ``D = p`` (Edmonds'
+    integer-preserving elimination).  Every entry is a minor of the initial
+    tableau, so each division is exact; a nonzero remainder raises
+    ArithmeticError.  The ratio test compares cross-products
+    ``rhs_i * T[leave][e]`` against ``rhs_leave * T[i][e]``, ties going to
+    the smaller basic variable, so the pivots are those of the rational
+    simplex.  Returns ``lambda_j = Fraction(T[i][-1], D)``.
     """
     pts = _copy_rows(rows)
     m = len(pts)
@@ -191,20 +206,20 @@ def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:
         return None
     dim = len(pts[0])
     ncon = dim + 1
-    zero, one = Fraction(0), Fraction(1)
     # Tableau columns: m lambda variables, ncon artificials, rhs.
     tableau = []
     for i in range(dim):
-        tableau.append([Fraction(pts[j][i]) for j in range(m)]
-                       + [one if k == i else zero for k in range(ncon)] + [zero])
-    tableau.append([one] * m + [one if k == dim else zero for k in range(ncon)] + [one])
+        tableau.append([pts[j][i] for j in range(m)]
+                       + [1 if k == i else 0 for k in range(ncon)] + [0])
+    tableau.append([1] * m + [1 if k == dim else 0 for k in range(ncon)] + [1])
     basis = [m + k for k in range(ncon)]
     # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row.
-    cost = [zero] * (m + ncon + 1)
+    cost = [0] * (m + ncon + 1)
     for row in tableau:
         for j in range(m):
             cost[j] -= row[j]
         cost[-1] -= row[-1]
+    denom = 1
     while True:
         enter = None
         for j in range(m + ncon):
@@ -214,32 +229,45 @@ def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(ncon):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / coeff against rhs_leave / T[leave][enter]; both divisors are > 0.
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 simplex objective unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
+        pivot_row = tableau[leave]
         for i in range(ncon):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+            if i != leave:
+                tableau[i] = _eliminate(tableau[i], pivot_row, enter, denom)
+        cost = _eliminate(cost, pivot_row, enter, denom)
+        denom = pivot_row[enter]
         basis[leave] = enter
     if cost[-1] != 0:
         return None
-    lam = [zero] * m
+    lam = [Fraction(0)] * m
     for i, var in enumerate(basis):
         if var < m:
-            lam[var] = tableau[i][-1]
+            lam[var] = Fraction(tableau[i][-1], denom)
         elif tableau[i][-1] != 0:
             return None  # artificial stuck at a nonzero level: infeasible
     return tuple(lam)
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int, denom: int) -> list[int]:
+    """``(p * row - row[col] * pivot_row) / denom`` with ``p = pivot_row[col]``,
+    each division checked exact."""
+    piv, f = pivot_row[col], row[col]
+    out = []
+    for x, y in zip(row, pivot_row):
+        q, r = divmod(piv * x - f * y, denom)
+        if r:
+            raise ArithmeticError(f"inexact division by the common denominator {denom}")
+        out.append(q)
+    return out

@@ -87,6 +87,70 @@ def rank_rational(rows):
     return sum(ech.add(row) for row in rows)
 
 
+def reference_convex_feasible(rows):
+    """Reference for `convex_feasible`: the same phase-1 simplex with Bland's
+    rule, pivoting in ``Fraction`` arithmetic on the rational tableau.  It
+    takes the same pivots, so it returns the same weights."""
+    pts = [list(row) for row in rows]
+    m = len(pts)
+    if m == 0:
+        return None
+    dim = len(pts[0])
+    ncon = dim + 1
+    zero, one = Fraction(0), Fraction(1)
+    # Tableau columns: m lambda variables, ncon artificials, rhs.
+    tableau = []
+    for i in range(dim):
+        tableau.append([Fraction(pts[j][i]) for j in range(m)]
+                       + [one if k == i else zero for k in range(ncon)] + [zero])
+    tableau.append([one] * m + [one if k == dim else zero for k in range(ncon)] + [one])
+    basis = [m + k for k in range(ncon)]
+    # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row.
+    cost = [zero] * (m + ncon + 1)
+    for row in tableau:
+        for j in range(m):
+            cost[j] -= row[j]
+        cost[-1] -= row[-1]
+    while True:
+        enter = None
+        for j in range(m + ncon):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(ncon):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 simplex objective unbounded")
+        piv = tableau[leave][enter]
+        tableau[leave] = [x / piv for x in tableau[leave]]
+        for i in range(ncon):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    lam = [zero] * m
+    for i, var in enumerate(basis):
+        if var < m:
+            lam[var] = tableau[i][-1]
+        elif tableau[i][-1] != 0:
+            return None  # artificial stuck at a nonzero level: infeasible
+    return tuple(lam)
+
+
 def tensor_product(a, b):
     """Concatenate qubits of two states (all amplitude products)."""
     terms = tuple(

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -550,6 +551,24 @@ class TestAnalysisReport:
         for state in (ghz_state(40), wide):
             rep = analysis_report(state)
             assert rep["flags"]["n_partite_entangled"] is True
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_twenty_qubits_sixty_four_terms(self, seed):
+        # 64 rows in 20 dimensions: the simplex makes 79 to 142 pivots on a
+        # 21 x 86 tableau.  The integer tableau takes well under 0.6 s;
+        # the Fraction one took 0.5 to 2 s.
+        rng = random.Random(seed)
+        state = support_state(20, [format(s, "020b") for s in rng.sample(range(2 ** 20), 64)])
+        start = time.perf_counter()
+        rep = analysis_report(state)
+        elapsed = time.perf_counter() - start
+        assert rep["certificate_kind"] == "convex"
+        cert = rep["certificate"]
+        lam = [Fraction(c, sum(cert)) for c in cert]
+        assert min(lam) >= 0 and sum(lam) == 1
+        rows = wm(state).rows
+        assert all(sum(f * row[k] for f, row in zip(lam, rows)) == 0 for k in range(20))
+        assert elapsed < 0.6, elapsed
 
     def test_ghz3_report(self):
         rep = analysis_report(ghz_state(3))

@@ -444,6 +444,23 @@ class TestVerify:
         assert doc["matched"] is True and doc["residual"] <= 1e-9
         assert doc["chi"] == {"num": -3, "den": 5}
 
+    @pytest.mark.parametrize("mode, angles, chi", [
+        ("--phis", "1000000000000000001,0,0", {"num": 1, "den": 1}),  # -I (x) I (x) I
+        ("--antidiag", "1000000000000000001/2,0,0", {"num": 1, "den": 2}),
+    ])
+    def test_large_exact_angle(self, mode, angles, chi, ghz3_file, capsys):
+        # Each angle is reduced mod 2 before it becomes a float; as a float
+        # 10^18 + 1 has lost its odd residue.
+        assert main(["verify", ghz3_file, mode, angles]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matched"] is True and doc["chi"] == chi
+
+    def test_derive_large_winding(self, ghz3_file, capsys):
+        assert main(["verify", ghz3_file, "--derive", "--winding", "12345678901234567,0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matched"] is True and doc["residual"] <= 1e-9
+        assert doc["phis"][0] == {"num": -12345678901234567, "den": 1}
+
     @pytest.mark.parametrize("mode", ["--phis", "--antidiag"])
     @pytest.mark.parametrize("angles", ["1e400,0,0", "0,-1e400,0", "1e308,0,0"])
     def test_angle_beyond_float_range(self, mode, angles, ghz3_file, capsys):

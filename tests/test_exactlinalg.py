@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Echelon, brute_force_det, echelon_solve, rank_rational
+from conftest import (
+    Echelon,
+    brute_force_det,
+    echelon_solve,
+    rank_rational,
+    reference_convex_feasible,
+)
+from topophase import exactlinalg
 from topophase.exactlinalg import (
     convex_feasible,
     determinant,
@@ -255,3 +262,23 @@ class TestConvexFeasible:
             res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m,
                           method="highs")
             assert exact == res.success
+
+    def test_matches_fraction_reference(self):
+        # The integer tableau takes the rational simplex's pivots, so its
+        # weights equal the Fraction reference's exactly, verdicts included.
+        rng = random.Random(20261018)
+        verdicts = {True: 0, False: 0}
+        for case in range(600):
+            n = rng.randint(1, 12)
+            m = rng.randint(1, 16)
+            entries = range(-3, 4) if case % 4 == 0 else (-1, 1)
+            rows = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(m)]
+            lam = convex_feasible(rows)
+            assert lam == reference_convex_feasible(rows), rows
+            verdicts[lam is not None] += 1
+        assert min(verdicts.values()) >= 20, verdicts
+
+    def test_inexact_division_raises(self):
+        # 2 * 3 - 1 * 2 = 4 is not a multiple of the common denominator 3.
+        with pytest.raises(ArithmeticError):
+            exactlinalg._eliminate([3, 1], [2, 2], 1, 3)
