@@ -114,7 +114,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _search_json(result: search.SearchResult, a_class_limit: int | None,
+def _search_json(result: search.SearchResult, a_classes: bool,
                  bound_source: str, complete: bool) -> str:
     records = []
     for rec in sorted(result.records):
@@ -123,10 +123,10 @@ def _search_json(result: search.SearchResult, a_class_limit: int | None,
             "Z": rec.z,
             "chi_min_denominator": rec.denominator,
         }
-        if a_class_limit is not None:
+        if a_classes:
             entry["a_class_matrices"] = [
                 [list(row) for row in matrix]
-                for matrix in search.a_class_matrices(rec.multiset, rec.z, a_class_limit)
+                for matrix in search.a_class_matrices(rec.multiset, rec.z)
             ]
         records.append(entry)
     doc = {
@@ -147,6 +147,8 @@ def cmd_search(args) -> int:
         raise ParseFailure("--bound and --complete are mutually exclusive")
     if args.format not in ("csv", "json", "both"):  # argparse skips choices for defaults
         raise ParseFailure(f"TOPOPHASE_FORMAT must be csv, json or both, not {args.format!r}")
+    if args.a_classes and args.format == "csv":
+        raise ParseFailure("--a-classes needs JSON output; the CSV has no A-classes")
     if args.complete:
         bound, source = search.completeness_bound(args.n), "provable"
     elif args.bound is not None:
@@ -162,8 +164,7 @@ def cmd_search(args) -> int:
     if args.format in ("csv", "both"):
         texts[base + ".csv"] = search.records_to_csv(result.records)
     if args.format in ("json", "both"):
-        limit = args.a_class_limit if args.a_classes else None
-        texts[base + ".json"] = _search_json(result, limit, source, bound >= provable)
+        texts[base + ".json"] = _search_json(result, args.a_classes, source, bound >= provable)
     for path, text in texts.items():
         _write_text(path, text)
     if bound < provable:
@@ -237,10 +238,12 @@ def _snap_phase(chi_radians: float, denominator_bound: int, tolerance: float) ->
 
 
 def cmd_verify(args) -> int:
-    state = _load_state(args.state)
     chosen = [bool(args.derive), args.phis is not None, args.antidiag is not None]
     if sum(chosen) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
+    if args.winding is not None and not args.derive:
+        raise ParseFailure("--winding applies only with --derive")
+    state = _load_state(args.state)
     tol = args.tolerance
 
     if args.derive:
@@ -352,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_env("OUT"), help="output base path (default search_n<N>)")
     p.add_argument("--a-classes", action="store_true", dest="a_classes",
                    help="include canonical A-class sign matrices in the JSON output")
-    p.add_argument("--a-class-limit", type=int, default=20000, dest="a_class_limit")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("construct", help="build the representative state of a structure")

@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, groupby, permutations, product
-from math import comb, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,8 @@ ORACLE_MAX_QUBITS = 5
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
 MAX_SEARCH_QUBITS = 22
+# Most work `a_class_matrices` takes on: C(masks, n) + |G| * masks.
+A_CLASS_WORK_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -443,51 +445,50 @@ def brute_force_oracle(n: int) -> set[SearchRecord]:
     return records
 
 
-def _sign_orbit(
-    matrix: Sequence[Sequence[int]], multiset: Sequence[int]
-) -> set[tuple[tuple[int, ...], ...]]:
-    """Every row-sorted image of a sign matrix under the value-preserving
-    column permutations; its minimum is the canonical form."""
-    groups = [list(g) for _, g in groupby(range(len(multiset)), key=multiset.__getitem__)]
-    return {
-        tuple(sorted(tuple(row[j] for j in chain(*parts)) for row in matrix))
-        for parts in product(*(permutations(g) for g in groups))
-    }
+def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All A-class sign matrices of one (multiset, Z), ascending, each least
+    under row sorting and the group G of value-preserving column permutations.
 
-
-def _independent_selections(
-    multiset: Sequence[int], z: int, limit: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The n-mask selections of one (multiset, Z) with independent
-    indicators, as sign matrices with rows in mask order.  More than `limit`
-    raw selections, C(masks, n), raise before any is tested."""
+    An orderly depth-first generation (Read 1978; McKay 1998) reaches each
+    class once, by its canonical form, in ascending order.  With position j
+    at bit n-1-j, ascending masks are ascending sign rows (-1 < +1).  A
+    selection grows by masks in ascending order while its rows are
+    independent and no g in G maps it to a smaller sorted tuple.  Dropping
+    the largest row keeps both: if g mapped S minus that row to a tuple a,
+    first smaller at index i, the sorted image b of S has b_j <= a_j for all
+    j (adding a row never raises an order statistic), so b < S.  Table row
+    p holds, per g, 2^(masks-1-q) for the position q of g(mask p): a sorted
+    tuple is smaller iff its bit sum is larger.  More than A_CLASS_WORK_LIMIT
+    of C(masks, n) + |G| * masks raise before anything is built; the limit
+    keeps masks <= 62, so every sum fits a uint64.
+    """
     n = len(multiset)
     if not _rank_test_exact(n):
         raise ValueError(f"A-classes are exact only up to n = {MAX_SEARCH_QUBITS}")
-    masks = [sum(1 << p for p in pat) for pat in equal_sum_submultisets(multiset, z)]
-    if comb(len(masks), n) > limit:
-        raise ValueError(f"more than {limit} selections; raise the limit to enumerate")
-    combos = np.array(list(combinations(masks, n)), dtype=np.int64).reshape(-1, n)
-    bits = (combos[:, :, None] >> np.arange(n)) & 1
-    independent = 2 * bits[_full_column_rank(bits)[:, -1] >= 0] - 1
-    return [tuple(map(tuple, matrix)) for matrix in independent.tolist()]
+    pats = equal_sum_submultisets(multiset, z)
+    keys = np.array(sorted(sum(1 << n - 1 - p for p in pat) for pat in pats), dtype=np.int64)
+    runs = [list(g) for _, g in groupby(range(n), key=multiset.__getitem__)]
+    width, order = len(keys), prod(factorial(len(run)) for run in runs)
+    work = comb(width, n) + order * width
+    if work > A_CLASS_WORK_LIMIT:
+        raise ValueError(f"A-classes of {tuple(multiset)}, Z = {z}: C({width}, {n}) + {order}*"
+                         f"{width} = {work} exceeds A_CLASS_WORK_LIMIT = {A_CLASS_WORK_LIMIT}")
+    perms = np.array([list(chain(*parts)) for parts in product(*map(permutations, runs))])
+    rows = keys[:, None] >> np.arange(n - 1, -1, -1) & 1
+    images = np.searchsorted(keys, rows @ (1 << n - 1 - perms.T))  # column 0: the identity
+    table = np.left_shift(np.uint64(1), (width - 1 - images).astype(np.uint64))
 
+    def grow(chosen: list[int], sums: np.ndarray) -> Iterator[list[int]]:
+        nxt = np.arange(chosen[-1] + 1 if chosen else 0, width - n + len(chosen) + 1)
+        sel = np.column_stack([np.full((len(nxt), len(chosen)), chosen, dtype=int), nxt])
+        grown = sums + table[nxt]
+        keep = (grown <= grown[:, :1]).all(axis=1)
+        keep &= _full_column_rank(rows[sel].swapaxes(1, 2))[:, -1] >= 0
+        for picked, child in zip(sel[keep].tolist(), grown[keep]):
+            yield from grow(picked, child) if len(picked) < n else [picked]
 
-def a_class_matrices(
-    multiset: Sequence[int], z: int, limit: int = 20000
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All A-class sign matrices for one (multiset, Z), ascending, each in
-    canonical form: lexicographically minimal under row sorting and
-    value-preserving column permutations.  Each orbit is built once, from
-    its first selection.  `limit` caps the raw selections, C(masks, n):
-    more raise rather than silently truncating the list."""
-    seen, classes = set(), []
-    for selection in _independent_selections(multiset, z, limit):
-        if tuple(sorted(selection)) not in seen:
-            orbit = _sign_orbit(selection, multiset)
-            seen |= orbit
-            classes.append(min(orbit))
-    return sorted(classes)
+    return [tuple(map(tuple, (2 * rows[picked] - 1).tolist()))
+            for picked in grow([], np.zeros(order, dtype=np.uint64))]
 
 
 def records_to_csv(records: Iterable[SearchRecord]) -> str:

@@ -2,7 +2,7 @@ import cmath
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from math import gcd
 
 import numpy as np
@@ -264,6 +264,41 @@ def greedy_selection(n, masks):
             if len(chosen) == n:
                 return chosen
     return None
+
+
+def independent_selections(multiset, z):
+    """The n-mask selections of one (multiset, Z) with independent
+    indicators, as sign matrices with rows in mask order: every raw
+    selection, C(masks, n) of them, built as one array and rank tested."""
+    n = len(multiset)
+    masks = [sum(1 << p for p in pat) for pat in search.equal_sum_submultisets(multiset, z)]
+    combos = np.array(list(combinations(masks, n)), dtype=np.int64).reshape(-1, n)
+    bits = (combos[:, :, None] >> np.arange(n)) & 1
+    independent = 2 * bits[search._full_column_rank(bits)[:, -1] >= 0] - 1
+    return [tuple(map(tuple, matrix)) for matrix in independent.tolist()]
+
+
+def sign_orbit(matrix, multiset):
+    """Every row-sorted image of a sign matrix under the value-preserving
+    column permutations; its minimum is the canonical form."""
+    groups = [list(g) for _, g in groupby(range(len(multiset)), key=multiset.__getitem__)]
+    return {
+        tuple(sorted(tuple(row[j] for j in chain(*parts)) for row in matrix))
+        for parts in product(*(permutations(g) for g in groups))
+    }
+
+
+def reference_a_classes(multiset, z):
+    """Reference for `search.a_class_matrices`: walk every independent raw
+    selection, skip those already in a seen orbit, and keep each new orbit's
+    minimum.  Memory grows with C(masks, n)."""
+    seen, classes = set(), []
+    for selection in independent_selections(multiset, z):
+        if tuple(sorted(selection)) not in seen:
+            orbit = sign_orbit(selection, multiset)
+            seen |= orbit
+            classes.append(min(orbit))
+    return sorted(classes)
 
 
 def has_affine_dependence(rows):

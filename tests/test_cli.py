@@ -181,10 +181,45 @@ class TestSearch:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_class_limit_exceeded(self, tmp_path, capsys):
+    def test_a_class_limit_exceeded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(search, "A_CLASS_WORK_LIMIT", 0)
         base = str(tmp_path / "ac")
-        assert main(["search", "--n", "3", "--a-classes", "--a-class-limit", "0",
-                     "--out", base]) == 2
+        assert main(["search", "--n", "3", "--a-classes", "--out", base]) == 2
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+        # The work rule replaced the option.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "3", "--a-class-limit", "5", "--out", base])
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n, classes, digest", [
+        (6, 49, "c88f2bd8d1925bbe6c29597d8a48a7c4ebc26b8143b95a2a8c39f7ee8ecc0731"),
+        (7, 3613, "374ebd1bad5f06f1746521d0f9b9736114dfddb8ae21312e42dbbb450ffc9e8f"),
+    ])
+    def test_a_classes_json_pinned(self, n, classes, digest, tmp_path, capsys):
+        # n = 7 includes the eight records beyond 20 000 raw selections,
+        # checked once by orbit counting.
+        base = str(tmp_path / "ac")
+        assert main(["search", "--n", str(n), "--a-classes", "--out", base]) == 0
+        data = (tmp_path / "ac.json").read_bytes()
+        doc = json.loads(data)
+        assert sum(len(rec["a_class_matrices"]) for rec in doc["records"]) == classes
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, env", [
+        (["--format", "csv", "--a-classes"], None),
+        (["--a-classes"], "csv"),
+    ])
+    def test_a_classes_need_json(self, argv, env, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        if env is not None:
+            monkeypatch.setenv("TOPOPHASE_FORMAT", env)
+        monkeypatch.setattr(search, "search_tables", no_search)
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--n", "3", *argv]) == 1
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
@@ -471,6 +506,13 @@ class TestVerify:
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1
         assert main(["verify", ghz3_file, "--derive", "--phis", "0,0,0"]) == 1
+
+    @pytest.mark.parametrize("mode", [["--phis", "1,0,0"], ["--antidiag", "0,0,1/2"]])
+    def test_winding_needs_derive(self, mode, ghz3_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", ghz3_file, *mode, "--winding", "5", "--out", str(out)]) == 1
+        assert_one_line_error(capsys)
+        assert capsys.readouterr().out == "" and not out.exists()
 
 
 class TestOracleCheck:

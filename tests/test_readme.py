@@ -1,9 +1,13 @@
-"""README's "Library quick start" block runs as written, so the package root
-and the documentation cannot drift apart."""
+"""README's "Library quick start" block runs as written and its CLI block
+parses, so the package root, the CLI and the documentation cannot drift
+apart."""
 
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from topophase.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +26,21 @@ def test_library_quick_start_runs():
     assert namespace["sol"].chi == Fraction(1)
     stabilizers = namespace["stabilizers"]
     assert stabilizers.verify(namespace["state"], namespace["ops"]).matched
+
+
+def cli_block_commands():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("topophase ")]
+
+
+def test_cli_block_matches_parser():
+    # Parsed only, not run: a removed or renamed flag fails here.
+    commands = cli_block_commands()
+    assert len(commands) == 12
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "topophase"
+        parser.parse_args(argv[1:])

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+import time
 from itertools import combinations, permutations
 from math import comb, gcd
 
@@ -8,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Echelon, equal_sum_masks, greedy_selection, python_mask_sums
+from conftest import (
+    Echelon,
+    equal_sum_masks,
+    greedy_selection,
+    independent_selections,
+    python_mask_sums,
+    reference_a_classes,
+    sign_orbit,
+)
 from topophase.balance import (
     construct_state,
     convex_certificate,
@@ -469,19 +479,27 @@ class TestAClasses:
             assert ones_row in matrix  # the {1,1,1,1} pattern
 
     def test_limit_enforced(self):
-        with pytest.raises(ValueError, match="limit"):
-            a_class_matrices((1, 1, 1, 1, 1, 1, 1), 3, limit=10)
+        # Refused from the record's own size, before anything is built: the
+        # second has one raw selection but 10! column permutations.
+        for multiset, z, work in [((1,) * 8, 3, 1422751995), ((1,) * 10, 1, 36288001)]:
+            start = time.monotonic()
+            with pytest.raises(ValueError, match=rf"{re.escape(str(multiset))}, Z = {z}: "
+                                                 rf".* = {work} exceeds A_CLASS_WORK_LIMIT"):
+                a_class_matrices(multiset, z)
+            assert time.monotonic() - start < 1
 
-    def test_limit_edge(self):
-        # {1,1,1,1,1}, Z = 2: ten masks, C(10, 5) = 252 selections.
-        assert comb(len(equal_sum_submultisets((1,) * 5, 2)), 5) == 252
-        assert a_class_matrices((1,) * 5, 2, limit=252)
-        with pytest.raises(ValueError, match="more than 251 selections"):
-            a_class_matrices((1,) * 5, 2, limit=251)
+    def test_limit_edge(self, monkeypatch):
+        # {1,1,1,1,1}, Z = 2: ten masks, C(10, 5) = 252 selections, |G| = 5! = 120.
+        assert comb(len(equal_sum_submultisets((1,) * 5, 2)), 5) + 120 * 10 == 1452
+        monkeypatch.setattr(search, "A_CLASS_WORK_LIMIT", 1452)
+        assert a_class_matrices((1,) * 5, 2)
+        monkeypatch.setattr(search, "A_CLASS_WORK_LIMIT", 1451)
+        with pytest.raises(ValueError, match="= 1452 exceeds A_CLASS_WORK_LIMIT = 1451"):
+            a_class_matrices((1,) * 5, 2)
 
     def test_matches_greedy_per_selection(self, search_results):
-        # Canonicalization is shared, so compare the raw selections: each
-        # independent one, as its sign rows in mask order.
+        # Checks the reference's raw selections: each independent one, as
+        # its sign rows in mask order.
         cases = [(WORKED_SEVEN_QUBIT_MULTISET, 4)] + [
             (rec.multiset, rec.z) for n in range(3, 7) for rec in search_results[n].records
         ]
@@ -493,7 +511,7 @@ class TestAClasses:
                 for combo in combinations(equal_sum_masks(multiset, z), n)
                 if greedy_selection(n, combo)
             ]
-            assert search._independent_selections(multiset, z, 20000) == expected
+            assert independent_selections(multiset, z) == expected
 
     def test_canonical_forms_are_per_selection_minima(self, search_results):
         # Reference: each selection canonicalized on its own, as the minimum
@@ -510,10 +528,34 @@ class TestAClasses:
                      if all(multiset[p[j]] == multiset[j] for j in range(n))]
             expected = {
                 min(tuple(sorted(tuple(row[j] for j in p) for row in selection)) for p in perms)
-                for selection in search._independent_selections(multiset, z, 20000)
+                for selection in independent_selections(multiset, z)
             }
             assert a_class_matrices(multiset, z) == sorted(expected)
         assert len(a_class_matrices((1,) * 6, 2)) == 9
+
+    def test_matches_reference_on_every_small_record(self, search_results, search_result_7):
+        # Every n = 3..7 record with at most 20 000 raw selections, against
+        # the seen-orbit walk over all of them.
+        records = [rec for n in range(3, 7) for rec in search_results[n].records]
+        records += search_result_7.records
+        cases = [
+            (rec.multiset, rec.z) for rec in records
+            if comb(len(equal_sum_submultisets(rec.multiset, rec.z)), len(rec.multiset)) <= 20000
+        ]
+        assert len(cases) == 134
+        for multiset, z in cases:
+            assert a_class_matrices(multiset, z) == reference_a_classes(multiset, z), (multiset, z)
+
+    def test_orbits_cover_every_independent_selection(self):
+        # Completeness by orbit counting on a record beyond the reference's
+        # 20 000 selections: C(22, 7) = 170 544 raw selections, of which
+        # 63 360 are independent, and no two classes share an orbit.
+        multiset, z = (2, 2, 2, 1, 1, 1, 1), 4
+        assert comb(len(equal_sum_submultisets(multiset, z)), 7) == 170544
+        classes = a_class_matrices(multiset, z)
+        orbits = [sign_orbit(matrix, multiset) for matrix in classes]
+        assert [min(orbit) for orbit in orbits] == classes
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == 63360
 
 
 def test_csv_format(search_results):
