@@ -313,7 +313,7 @@ def cmd_oracle_check(args) -> int:
         )
     bound = search.completeness_bound(args.n)
     result = search.search_tables(args.n, bound, workers=args.workers)
-    oracle = search.brute_force_oracle(args.n)
+    oracle = search.brute_force_oracle(args.n, workers=args.workers)
     searched = set(result.records)
     missing = sorted(oracle - searched)
     extra = sorted(searched - oracle)
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_env("OUT"))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle-check", help="brute-force oracle vs search (n <= 5)")
+    p = sub.add_parser("oracle-check",
+                       help=f"brute-force oracle vs search (n <= {search.ORACLE_MAX_QUBITS})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
     p.set_defaults(func=cmd_oracle_check)

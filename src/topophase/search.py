@@ -26,8 +26,31 @@ every prefix of the bucket holds as many pivots as its rank, which makes the
 pivots the lexicographically first basis, the first n masks whose augmented
 indicators are independent.
 
-A brute-force oracle for small n enumerates supports directly and must
-reproduce the same record sets.
+A brute-force oracle for n <= 6 (`brute_force_oracle`) enumerates supports
+directly and must reproduce the same record sets.  It shares nothing with the
+search but `_record_from_kernel`: no multisets, mask sums or rank test.  A
+support is the all-ones row plus n other sign rows r_i = 1 - 2 b_i, with b_i
+their 0/1 bits stacked into B.  A kernel vector (c0, x) has c0 + sum(x) =
+2 t and B^T x = t 1, so
+
+- a positive kernel needs B nonsingular: if B^T y = 0 with y != 0, then
+  (-sum(y), y) is a kernel vector, and no multiple of it is positive (-sum(y)
+  and y cannot share a sign), so the kernel is either its line or more than
+  one-dimensional, and neither is a line through a positive vector;
+- for nonsingular B the kernel is the line through (2d - sum(x), x) with
+  d = det B and B^T x = d 1, an integer x by Cramer's rule.
+
+Each chunk of supports gets one batched float `det` and one `solve`, both
+rounded to integers; a value further than `ORACLE_ROUNDING_MARGIN` from its
+integer raises ArithmeticError.  A support whose det rounds to 0 is dropped
+as singular (the largest LAPACK error measured on these matrices is 5e-15,
+and a nonzero det is at least 1).  Every other support is checked exactly
+in int64, B^T x = d 1, or ArithmeticError is raised.  Positivity is then
+decided on the integers and is exact: sign(d) (2d - sum(x), x) is |d| times
+the kernel vector (2 - sum(y), y) with B^T y = 1, whatever nonzero d the
+check passes.  Each kept support is certified nonsingular by one more exact
+check, B^T A = d I for the rounded solve A, which forces det B != 0.  A
+record the oracle returns therefore never rests on a float.
 """
 
 from __future__ import annotations
@@ -35,16 +58,21 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import chain, groupby, permutations, product
 from math import comb, factorial, gcd, isqrt, prod
+from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .balance import positive_maximal_kernel
 from .exactlinalg import solve_rational
 
-ORACLE_MAX_QUBITS = 5
+ORACLE_MAX_QUBITS = 6
+# Most supports one oracle chunk holds; about 20 MB of float matrices at n = 6.
+ORACLE_CHUNK_SUPPORTS = 1 << 16
+# Largest distance from an integer a rounded oracle det or solve may show;
+# the largest error measured on these 0/1 matrices is 5e-15.
+ORACLE_ROUNDING_MARGIN = 1e-6
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
 MAX_SEARCH_QUBITS = 22
@@ -204,7 +232,9 @@ def _rank_test_exact(n: int) -> bool:
 
 def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     """Independent chunks (n, total, first element) of the multiset space,
-    in the order `enumerate_structures` walks it."""
+    in the order `enumerate_structures` walks it.  Totals stop at
+    `completeness_bound(n)` whatever sum_bound asks for, since no structure
+    lies above it."""
     if n < 3:
         raise ValueError("maximal-length structures need n >= 3")
     if not _rank_test_exact(n):
@@ -216,7 +246,7 @@ def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
         raise ValueError(f"sum bound {sum_bound} is below the smallest multiset sum {n}")
     return [
         (n, total, first)
-        for total in range(n, sum_bound + 1)
+        for total in range(n, min(sum_bound, completeness_bound(n)) + 1)
         for first in range(total - (n - 1), -(-total // n) - 1, -1)
     ]
 
@@ -420,29 +450,121 @@ def _record_from_kernel(vec: Sequence[int]) -> Optional[SearchRecord]:
     return SearchRecord(sum(rest) - z, tuple(rest), z)
 
 
-def brute_force_oracle(n: int) -> set[SearchRecord]:
+def _tail_counts(prefixes: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Per prefix row, the number of k-subsets of range(m) above its last
+    element: C(m - 1 - last, k), with last = -1 for the empty prefix."""
+    start = prefixes[:, -1] + 1 if prefixes.shape[1] else np.zeros(len(prefixes), dtype=np.intp)
+    return np.array([comb(m - t, k) for t in range(m + 1)])[start]
+
+
+def _tail_join(prefixes: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """Each prefix row followed by every row of `table`, the k-subsets of
+    range(m) in lexicographic order, that starts above the prefix's last
+    element; the result is in lexicographic order.  The rows starting at t
+    or above are the last C(m - t, k) rows of the table."""
+    sizes = _tail_counts(prefixes, m, table.shape[1])
+    ends = np.cumsum(sizes)
+    rows = np.arange(int(sizes.sum())) + np.repeat(len(table) - ends, sizes)
+    return np.hstack([np.repeat(prefixes, sizes, axis=0), table[rows]])
+
+
+@lru_cache(maxsize=None)
+def _combination_table(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as ascending rows in lexicographic order;
+    built on first use, not at import."""
+    if k == 0:
+        table = np.zeros((1, 0), dtype=np.intp)
+    else:
+        table = _tail_join(np.arange(m)[:, None], _combination_table(m, k - 1), m)
+    table.setflags(write=False)
+    return table
+
+
+def _oracle_split(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's supports, as n-subsets of the m = 2^n - 1 sign rows other
+    than all-ones, split into p-element prefixes and (n-p)-element tails: a
+    support is a prefix followed by a tail above it.  p is the least prefix
+    length whose largest block, C(m - p, n - p) supports, fits in one chunk."""
+    m = (1 << n) - 1
+    p = next(p for p in range(n + 1) if comb(m - p, n - p) <= ORACLE_CHUNK_SUPPORTS)
+    return _combination_table(m - n + p, p), _combination_table(m, n - p)
+
+
+def _oracle_tasks(n: int) -> list[tuple[int, int, int]]:
+    """Chunks (n, lo, hi) of the oracle's scan: runs of consecutive prefixes
+    of `_oracle_split(n)` holding at most ORACLE_CHUNK_SUPPORTS supports."""
+    prefixes, tails = _oracle_split(n)
+    bounds, filled = [0], 0
+    for i, size in enumerate(_tail_counts(prefixes, (1 << n) - 1, tails.shape[1]).tolist()):
+        if filled + size > ORACLE_CHUNK_SUPPORTS:
+            bounds.append(i)
+            filled = 0
+        filled += size
+    bounds.append(len(prefixes))
+    return [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _nearest_integers(values: np.ndarray) -> np.ndarray:
+    """`values` rounded to int64; ArithmeticError when one (NaN included) lies
+    further than ORACLE_ROUNDING_MARGIN from its integer."""
+    rounded = np.rint(values)
+    if not (np.abs(values - rounded) <= ORACLE_ROUNDING_MARGIN).all():
+        raise ArithmeticError("oracle det or solve is off its integer by more than the margin")
+    return rounded.astype(np.int64)
+
+
+def _oracle_chunk(task: tuple[int, int, int]) -> set[SearchRecord]:
+    n, lo, hi = task
+    prefixes, tails = _oracle_split(n)
+    return _support_records(n, _tail_join(prefixes[lo:hi], tails, (1 << n) - 1))
+
+
+def _support_records(n: int, supports: np.ndarray) -> set[SearchRecord]:
+    """Records of the supports in the rows of `supports`, each the indices of
+    its n sign rows other than all-ones (index i: the bits of mask i + 1), by
+    the float det and solve and the exact certificate of the module docstring."""
+    bits = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(np.int8)
+    bt = bits[supports].swapaxes(1, 2)  # B^T: column i holds the bits of row i
+    d = _nearest_integers(np.linalg.det(bt))
+    bt, d = bt[d != 0], d[d != 0]
+    x = _nearest_integers(np.linalg.solve(bt, np.repeat(d[:, None, None], n, axis=1)))
+    if not (bt @ x == d[:, None, None]).all():
+        raise ArithmeticError("oracle solve fails its exact int64 check")
+    x = x[:, :, 0]
+    kernel = np.column_stack([2 * d - x.sum(axis=1), x]) * np.sign(d)[:, None]
+    keep = (kernel > 0).all(axis=1)
+    bt, kernel = bt[keep], kernel[keep]
+    scaled_eye = d[keep, None, None] * np.eye(n, dtype=np.int64)
+    if not (bt @ _nearest_integers(np.linalg.solve(bt, scaled_eye)) == scaled_eye).all():
+        raise ArithmeticError("oracle adjugate fails its exact int64 check")
+    kernel //= np.gcd.reduce(kernel, axis=1)[:, None]
+    return {rec for rec in map(_record_from_kernel, kernel.tolist()) if rec is not None}
+
+
+def brute_force_oracle(n: int, workers: int = 1) -> set[SearchRecord]:
     """Independent validation: enumerate all (n+1)-row supports directly.
 
     Column negation makes any chosen row all +1 without touching the kernel,
-    so supports containing the all-ones row cover every class.  Each support
+    so supports containing the all-ones row cover every class; the other n
+    rows run over all C(2^n - 1, n) choices, in lexicographic chunks with
+    one batched float det and solve each (module docstring).  Each support
     whose weight rows form an irreducible c-state of maximal length
-    contributes its kernel-vector record.
+    contributes its kernel-vector record.  With workers > 1 the chunks go to
+    spawned processes; the result does not depend on the worker count.
     """
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle cost explodes beyond n={ORACLE_MAX_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
-    ones = (1,) * n
-    others = [row for row in product((1, -1), repeat=n) if row != ones]
-    records: set[SearchRecord] = set()
-    for combo in combinations(others, n):
-        vec = positive_maximal_kernel([ones, *combo])
-        if vec is None:
-            continue
-        rec = _record_from_kernel(vec)
-        if rec is not None:
-            records.add(rec)
-    return records
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    tasks = _oracle_tasks(n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            chunks = list(pool.map(_oracle_chunk, tasks))
+    else:
+        chunks = list(map(_oracle_chunk, tasks))
+    return set().union(*chunks)
 
 
 def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, ...], ...]]:

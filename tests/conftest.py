@@ -301,6 +301,22 @@ def reference_a_classes(multiset, z):
     return sorted(classes)
 
 
+def reference_brute_force_oracle(n):
+    """The per-support oracle walk, the reference for
+    `search.brute_force_oracle`: one exact `positive_maximal_kernel` call for
+    each support of the all-ones row and n other sign rows."""
+    ones = (1,) * n
+    others = [row for row in product((1, -1), repeat=n) if row != ones]
+    records = set()
+    for combo in combinations(others, n):
+        vec = balance.positive_maximal_kernel([ones, *combo])
+        if vec is not None:
+            rec = search._record_from_kernel(vec)
+            if rec is not None:
+                records.add(rec)
+    return records
+
+
 def has_affine_dependence(rows):
     """Whether some integer dependence of the rows has a nonzero sum."""
     return any(sum(vec) for vec in kernel_lattice(rows))

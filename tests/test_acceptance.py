@@ -21,6 +21,7 @@ from conftest import (
     rank_rational,
 )
 from topophase import balance, search, stabilizers
+from topophase.cli import main
 from topophase.exactlinalg import determinant, kernel_lattice
 from topophase.states import (
     WeightMatrix,
@@ -224,6 +225,26 @@ def test_criterion_4_oracle_equivalence(oracle_results):
             )
         elapsed = time.monotonic() - start + sum(sec for _, sec in oracle_results.values())
         assert elapsed <= 600, f"took {elapsed:.1f}s, budget 600s"
+
+
+@pytest.mark.slow
+def test_criterion_4_oracle_six_qubits(monkeypatch, capsys):
+    """`oracle-check --n 6 --workers 2` (about a minute on two cores) passes,
+    and the oracle's own set is the corrected printed n = 6 table."""
+    with criterion("4 (oracle equivalence, n=6)"):
+        found = []
+        oracle = search.brute_force_oracle
+
+        def keep_result(*args, **kwargs):
+            found.append(oracle(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(search, "brute_force_oracle", keep_result)
+        assert main(["oracle-check", "--n", "6", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == "oracle check n=6: PASS (14 records, bound 24)\n"
+        errata = PRINTED_ERRATA[6]
+        corrected = (PRINTED_TABLES[6] - errata["unrealizable"]) | errata["omitted"].keys()
+        assert as_tuples(found[0]) == corrected
 
 
 def test_criterion_5_worked_families():

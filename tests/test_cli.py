@@ -144,6 +144,15 @@ class TestSearch:
         doc = json.loads((tmp_path / "env.json").read_text())
         assert doc["sum_bound"] == 7
 
+    def test_bound_above_provable_writes_the_provable_table(self, tmp_path, capsys):
+        csvs = []
+        for bound in ("4", str(10 ** 20)):
+            base = tmp_path / f"b{len(bound)}"
+            assert main(["search", "--n", "4", "--bound", bound, "--out", str(base)]) == 0
+            csvs.append(base.with_suffix(".csv").read_bytes())
+            assert json.loads(base.with_suffix(".json").read_text())["sum_bound"] == int(bound)
+        assert csvs[0] == csvs[1]
+
     @pytest.mark.parametrize("var, argv", [
         ("TOPOPHASE_BOUND", ["search", "--n", "5"]),
         ("TOPOPHASE_WORKERS", ["search", "--n", "5"]),
@@ -520,7 +529,7 @@ class TestOracleCheck:
         assert main(["oracle-check", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n, records", [(3, 1), (4, 1)])
+    @pytest.mark.parametrize("n, records", [(3, 1), (4, 1), (5, 4)])
     def test_searches_to_the_completeness_bound(self, n, records, capsys):
         assert main(["oracle-check", "--n", str(n)]) == 0
         assert capsys.readouterr().out == (
@@ -528,4 +537,10 @@ class TestOracleCheck:
         )
 
     def test_bad_n(self, capsys):
-        assert main(["oracle-check", "--n", "6"]) == 2
+        assert main(["oracle-check", "--n", "7"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_help_names_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert f"oracle vs search (n <= {search.ORACLE_MAX_QUBITS})" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from conftest import (
     independent_selections,
     python_mask_sums,
     reference_a_classes,
+    reference_brute_force_oracle,
     sign_orbit,
 )
 from topophase.balance import (
@@ -411,9 +412,65 @@ class TestOracle:
     def test_two_qubits_empty(self):
         assert brute_force_oracle(2) == set()
 
-    def test_large_n_rejected(self):
+    def test_large_n_rejected(self, monkeypatch):
+        def no_work(n):
+            raise AssertionError("the oracle started work before refusing n")
+
+        monkeypatch.setattr(search, "_oracle_tasks", no_work)
         with pytest.raises(ValueError):
-            brute_force_oracle(6)
+            brute_force_oracle(7)
+
+    @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_matches_reference(self, n):
+        assert brute_force_oracle(n) == reference_brute_force_oracle(n)
+
+    @pytest.mark.parametrize("n, cap", [(3, 1), (3, 7), (4, 50), (4, 1365), (5, 5000)])
+    def test_chunks_tile_the_supports_in_order(self, n, cap, monkeypatch):
+        monkeypatch.setattr(search, "ORACLE_CHUNK_SUPPORTS", cap)
+        prefixes, tails = search._oracle_split(n)
+        chunks = [search._tail_join(prefixes[lo:hi], tails, 2 ** n - 1)
+                  for _, lo, hi in search._oracle_tasks(n)]
+        assert max(map(len, chunks)) <= cap
+        assert np.vstack(chunks).tolist() == [list(c) for c in combinations(range(2 ** n - 1), n)]
+
+    def test_support_records_match_reference_per_support(self):
+        # The first support's kernel is 2 * (1, 1, 1, 1, 1, 2, 1): the gcd must go.
+        rng = random.Random(6)
+        supports = [[2, 8, 29, 45, 52, 57]] + [rng.sample(range(63), 6) for _ in range(300)]
+        for support in supports:
+            signs = [tuple(1 - 2 * (m + 1 >> j & 1) for j in range(6)) for m in support]
+            vec = positive_maximal_kernel([(1,) * 6, *signs])
+            expected = {search._record_from_kernel(vec)} - {None} if vec else set()
+            assert search._support_records(6, np.array([support])) == expected, support
+
+    def test_workers_agree(self):
+        records = brute_force_oracle(5, workers=2)
+        assert records == brute_force_oracle(5)
+        assert as_tuples(records) == TRUE_RECORDS[5]
+
+    def test_det_off_the_margin_raises(self, monkeypatch):
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: det(a) + 0.3)
+        with pytest.raises(ArithmeticError):
+            brute_force_oracle(4)
+
+    @pytest.mark.parametrize("columns", [1, 4])  # the d*1 solve, the d*I solve
+    def test_solve_off_by_one_fails_exact_check(self, columns, monkeypatch):
+        solve = np.linalg.solve
+
+        def off_by_one(a, b):
+            out = solve(a, b)
+            if out.shape[-1] == columns:
+                out[0, 0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", off_by_one)
+        with pytest.raises(ArithmeticError, match="exact"):
+            brute_force_oracle(4)
+
+    def test_bad_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            brute_force_oracle(3, workers=0)
 
     def test_fast_kernel_agrees_with_compositional_path(self):
         rng = random.Random(987)
@@ -441,6 +498,16 @@ class TestOracle:
 class TestBounds:
     def test_completeness_bound_values(self):
         assert [completeness_bound(n) for n in range(3, 9)] == [3, 4, 10, 24, 56, 136]
+
+    def test_bound_above_provable_is_clamped(self):
+        # Without the clamp the first line fails fast and the second never ends.
+        assert len(search._search_tasks(4, 300)) == len(search._search_tasks(4, 4))
+        assert search._search_tasks(4, 10 ** 20) == search._search_tasks(4, 4)
+        huge, provable = search_tables(4, 10 ** 20), search_tables(4, 4)
+        assert huge.sum_bound == 10 ** 20
+        assert (huge.records, huge.multisets_scanned, huge.rank_tests) == (
+            provable.records, provable.multisets_scanned, provable.rank_tests)
+        assert list(enumerate_structures(4, 10 ** 20)) == list(enumerate_structures(4, 4))
 
     def test_completeness_bound_covers_oracle(self, oracle_results):
         for n, (records, _) in oracle_results.items():
