@@ -1,8 +1,8 @@
 """Command-line frontend: analyze, search, construct, verify, oracle-check.
 
-Flags may be defaulted through TOPOPHASE_* environment variables (BOUND,
-TOLERANCE, WORKERS, FORMAT, OUT).  Phases are always serialized as exact
-rationals in units of pi; only verification residuals are floating point.
+Flags are the only configuration: the CLI reads no environment variables.
+Phases are always serialized as exact rationals in units of pi; only
+verification residuals are floating point.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
 3 verification mismatch.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from math import lcm
@@ -40,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get("TOPOPHASE_" + name, fallback)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -100,8 +95,7 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = _dump(doc)
+def _emit(text: str, out: str | None) -> None:
     if out:
         _write_text(out, text)
     else:
@@ -110,7 +104,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     state = _load_state(args.state)
-    _emit(balance.analysis_report(state), args.out)
+    _emit(_dump(balance.analysis_report(state)), args.out)
     return EXIT_OK
 
 
@@ -145,10 +139,6 @@ def _search_json(result: search.SearchResult, a_classes: bool,
 def cmd_search(args) -> int:
     if args.bound is not None and args.complete:
         raise ParseFailure("--bound and --complete are mutually exclusive")
-    if args.format not in ("csv", "json", "both"):  # argparse skips choices for defaults
-        raise ParseFailure(f"TOPOPHASE_FORMAT must be csv, json or both, not {args.format!r}")
-    if args.a_classes and args.format == "csv":
-        raise ParseFailure("--a-classes needs JSON output; the CSV has no A-classes")
     if args.complete:
         bound, source = search.completeness_bound(args.n), "provable"
     elif args.bound is not None:
@@ -160,11 +150,10 @@ def cmd_search(args) -> int:
     provable = search.completeness_bound(args.n)
     base = args.out or f"search_n{args.n}"
     # Render everything before writing, so a failure leaves no partial output.
-    texts = {}
-    if args.format in ("csv", "both"):
-        texts[base + ".csv"] = search.records_to_csv(result.records)
-    if args.format in ("json", "both"):
-        texts[base + ".json"] = _search_json(result, args.a_classes, source, bound >= provable)
+    texts = {
+        base + ".csv": search.records_to_csv(result.records),
+        base + ".json": _search_json(result, args.a_classes, source, bound >= provable),
+    }
     for path, text in texts.items():
         _write_text(path, text)
     if bound < provable:
@@ -212,11 +201,7 @@ def cmd_construct(args) -> int:
     structure = _structure_from_doc(doc)
     search.validate_structure(structure)
     state = balance.construct_state(structure)
-    text = states.state_to_json(state)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(states.state_to_json(state), args.out)
     return EXIT_OK
 
 
@@ -277,7 +262,7 @@ def cmd_verify(args) -> int:
                 "free_parameters": solution.free_parameters,
             },
         )
-        _emit(doc, args.out)
+        _emit(_dump(doc), args.out)
         if not (result.matched and agrees):
             raise VerificationMismatch(
                 f"derived stabilizer failed verification (residual {result.residual:g})"
@@ -298,7 +283,7 @@ def cmd_verify(args) -> int:
         bound = 2 * lcm(*[f.denominator for f in fractions], 1)
     result = stabilizers.verify(state, unitaries, tol)
     chi_frac = _snap_phase(result.chi, bound, tol) if result.matched else None
-    _emit(_verify_report(result, chi_frac, {}), args.out)
+    _emit(_dump(_verify_report(result, chi_frac, {})), args.out)
     if not result.matched:
         raise VerificationMismatch(
             f"not an eigenstate of the supplied operator (residual {result.residual:g})"
@@ -340,26 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="exact phase-set analysis of a state file")
     p.add_argument("state", help="state JSON file")
-    p.add_argument("--out", default=_env("OUT"), help="write the report here instead of stdout")
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="enumerate structures and write phase tables")
     p.add_argument("--n", type=int, required=True, help="qubit count (>= 3)")
-    p.add_argument("--bound", type=int, default=_env("BOUND"),
-                   help="multiset sum ceiling (default 4n)")
+    p.add_argument("--bound", type=int, help="multiset sum ceiling (default 4n)")
     p.add_argument("--complete", action="store_true",
                    help="use the provable completeness bound (slow beyond n = 7)")
-    p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
-    p.add_argument("--format", choices=["csv", "json", "both"],
-                   default=_env("FORMAT", "both"))
-    p.add_argument("--out", default=_env("OUT"), help="output base path (default search_n<N>)")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", help="output base path (default search_n<N>)")
     p.add_argument("--a-classes", action="store_true", dest="a_classes",
                    help="include canonical A-class sign matrices in the JSON output")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("construct", help="build the representative state of a structure")
     p.add_argument("structure", help="JSON with multiset, Z, patterns (1-based positions)")
-    p.add_argument("--out", default=_env("OUT"), help="state file to write (default stdout)")
+    p.add_argument("--out", help="state file to write (default stdout)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="numerically verify a stabilizer eigenphase")
@@ -369,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--winding", help="comma-separated winding integers (with --derive)")
     p.add_argument("--phis", help="comma-separated rational angles in pi units (diagonal)")
     p.add_argument("--antidiag", help="comma-separated rational angles in pi units (antidiagonal)")
-    p.add_argument("--tolerance", type=float, default=_env("TOLERANCE", "1e-9"))
-    p.add_argument("--out", default=_env("OUT"))
+    p.add_argument("--tolerance", type=float, default=stabilizers.DEFAULT_TOLERANCE)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle-check",
                        help=f"brute-force oracle vs search (n <= {search.ORACLE_MAX_QUBITS})")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_env("WORKERS", "1"))
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -58,7 +58,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, permutations, product
+from itertools import chain, groupby, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Sequence
@@ -595,7 +595,11 @@ def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, .
     if work > A_CLASS_WORK_LIMIT:
         raise ValueError(f"A-classes of {tuple(multiset)}, Z = {z}: C({width}, {n}) + {order}*"
                          f"{width} = {work} exceeds A_CLASS_WORK_LIMIT = {A_CLASS_WORK_LIMIT}")
-    perms = np.array([list(chain(*parts)) for parts in product(*map(permutations, runs))])
+    blocks = [np.fromiter(chain.from_iterable(permutations(run)), np.int64,
+                          factorial(len(run)) * len(run)).reshape(-1, len(run)) for run in runs]
+    perms = blocks[0]  # rows in product order over the runs, so row 0 is the identity
+    for block in blocks[1:]:
+        perms = np.hstack([np.repeat(perms, len(block), axis=0), np.tile(block, (len(perms), 1))])
     rows = keys[:, None] >> np.arange(n - 1, -1, -1) & 1
     images = np.searchsorted(keys, rows @ (1 << n - 1 - perms.T))  # column 0: the identity
     table = np.left_shift(np.uint64(1), (width - 1 - images).astype(np.uint64))

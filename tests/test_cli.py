@@ -111,6 +111,53 @@ class TestOutputPath:
         assert not (tmp_path / "no").exists()
 
 
+class TestConfiguration:
+    # Each value would have changed the run, or failed it, when these
+    # variables were defaults for the flags.
+    FORMER_VARIABLES = {
+        "TOPOPHASE_BOUND": "x",
+        "TOPOPHASE_TOLERANCE": "nan",
+        "TOPOPHASE_WORKERS": "0",
+        "TOPOPHASE_FORMAT": "xml",
+        "TOPOPHASE_OUT": "no/such/dir/out",
+        "TOPOPHASE_COMPLETE": "maybe",
+    }
+
+    def test_environment_is_ignored(self, ghz3_file, tmp_path, capsys, monkeypatch):
+        commands = [
+            ["search", "--n", "5"],
+            ["analyze", ghz3_file],
+            ["verify", ghz3_file, "--derive"],
+            ["oracle-check", "--n", "3"],
+        ]
+
+        def run(name, env):
+            for var in self.FORMER_VARIABLES:
+                monkeypatch.delenv(var, raising=False)
+            for var, value in env.items():
+                monkeypatch.setenv(var, value)
+            cwd = tmp_path / name
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            outputs = []
+            for argv in commands:
+                assert main(argv) == 0
+                outputs.append(tuple(capsys.readouterr()))
+            return outputs, {p.name: p.read_bytes() for p in cwd.iterdir()}
+
+        clean = run("clean", {})
+        assert set(clean[1]) == {"search_n5.csv", "search_n5.json"}
+        assert run("former", self.FORMER_VARIABLES) == clean
+
+    def test_format_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "5", "--format", "csv"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSearch:
     def test_n5_golden_csv(self, tmp_path, capsys):
         base = str(tmp_path / "out")
@@ -137,13 +184,6 @@ class TestSearch:
         doc = json.loads((tmp_path / "ac.json").read_text())
         assert doc["records"][0]["a_class_matrices"]
 
-    def test_bound_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOPHASE_BOUND", "7")
-        base = str(tmp_path / "env")
-        assert main(["search", "--n", "5", "--out", base]) == 0
-        doc = json.loads((tmp_path / "env.json").read_text())
-        assert doc["sum_bound"] == 7
-
     def test_bound_above_provable_writes_the_provable_table(self, tmp_path, capsys):
         csvs = []
         for bound in ("4", str(10 ** 20)):
@@ -152,35 +192,6 @@ class TestSearch:
             csvs.append(base.with_suffix(".csv").read_bytes())
             assert json.loads(base.with_suffix(".json").read_text())["sum_bound"] == int(bound)
         assert csvs[0] == csvs[1]
-
-    @pytest.mark.parametrize("var, argv", [
-        ("TOPOPHASE_BOUND", ["search", "--n", "5"]),
-        ("TOPOPHASE_WORKERS", ["search", "--n", "5"]),
-        ("TOPOPHASE_WORKERS", ["oracle-check", "--n", "3"]),
-        ("TOPOPHASE_TOLERANCE", ["verify", "state.json", "--derive"]),
-    ])
-    def test_malformed_env_default_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                  var, argv):
-        monkeypatch.setenv(var, "x")
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("usage: ")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_unknown_env_format(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOPHASE_FORMAT", "xml")
-        monkeypatch.chdir(tmp_path)
-        assert main(["search", "--n", "3"]) == 1
-        assert_one_line_error(capsys)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_complete_env_variable_is_gone(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOPHASE_COMPLETE", "0")
-        base = str(tmp_path / "env")
-        assert main(["search", "--n", "3", "--out", base]) == 0
-        assert json.loads((tmp_path / "env.json").read_text())["sum_bound"] == 12
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bound_below_n(self, tmp_path, capsys, workers):
@@ -215,22 +226,6 @@ class TestSearch:
         doc = json.loads(data)
         assert sum(len(rec["a_class_matrices"]) for rec in doc["records"]) == classes
         assert hashlib.sha256(data).hexdigest() == digest
-
-    @pytest.mark.parametrize("argv, env", [
-        (["--format", "csv", "--a-classes"], None),
-        (["--a-classes"], "csv"),
-    ])
-    def test_a_classes_need_json(self, argv, env, tmp_path, capsys, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched")
-
-        if env is not None:
-            monkeypatch.setenv("TOPOPHASE_FORMAT", env)
-        monkeypatch.setattr(search, "search_tables", no_search)
-        monkeypatch.chdir(tmp_path)
-        assert main(["search", "--n", "3", *argv]) == 1
-        assert_one_line_error(capsys)
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "3", "--workers", "0"],
@@ -285,13 +280,6 @@ class TestSearch:
                 f"topophase: warning: bound {bound} is below the provable completeness "
                 f"bound {provable} for n = {n}; the table may be truncated\n"
             )
-
-    def test_env_bound_is_user_and_warns_without_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOPHASE_BOUND", "7")
-        base = str(tmp_path / "env")
-        assert main(["search", "--n", "5", "--format", "csv", "--out", base]) == 0
-        assert (tmp_path / "env.csv").read_text() == GOLDEN_N5_CSV
-        assert capsys.readouterr().err.startswith("topophase: warning: bound 7 ")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_json_counters(self, tmp_path, capsys, workers):
@@ -434,17 +422,10 @@ class TestVerify:
                                       ["--antidiag", "0,0,1/2"], ["--phis", "1/3,1/5,1/7"]],
                              ids=["derive", "phis", "antidiag", "phis_not_eigen"])
     @pytest.mark.parametrize("tolerance", ["inf", "nan"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_non_finite_tolerance(self, ghz3_file, capsys, monkeypatch, mode, tolerance,
-                                  source):
+    def test_non_finite_tolerance(self, ghz3_file, capsys, mode, tolerance):
         # GHZ3 is no eigenstate of the last operator; an infinite tolerance
         # once reported it as matched.
-        if source == "env":
-            monkeypatch.setenv("TOPOPHASE_TOLERANCE", tolerance)
-            extra = []
-        else:
-            extra = ["--tolerance", tolerance]
-        assert main(["verify", ghz3_file, *mode, *extra]) == 2
+        assert main(["verify", ghz3_file, *mode, "--tolerance", tolerance]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (

@@ -2,6 +2,7 @@
 parses, so the package root, the CLI and the documentation cannot drift
 apart."""
 
+import argparse
 import re
 import shlex
 from fractions import Fraction
@@ -28,10 +29,13 @@ def test_library_quick_start_runs():
     assert stabilizers.verify(namespace["state"], namespace["ops"]).matched
 
 
-def cli_block_commands():
+def cli_section():
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def cli_block_commands():
+    (block,) = re.findall(r"```sh\n(.*?)```", cli_section(), re.S)
     return [shlex.split(line, comments=True) for line in block.splitlines()
             if line.startswith("topophase ")]
 
@@ -44,3 +48,13 @@ def test_cli_block_matches_parser():
     for argv in commands:
         assert argv[0] == "topophase"
         parser.parse_args(argv[1:])
+
+
+def test_cli_section_names_every_option_and_no_other():
+    # A flag README describes that the parser lacks, or the reverse, fails here.
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section()))
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {opt for sub in commands.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}
