@@ -19,6 +19,13 @@ modulo the prime P = 2^31 - 1, and both steps are exact:
   bucket keeps a minor that is nonzero modulo P, and the rank modulo P
   equals the rank over Q.  Larger n is refused.
 
+The gcd-1 multisets stream in `_search_tasks` order and are cut into batches
+of k with k 2^n <= SEARCH_BATCH_SUMS mask sums, or of one multiset when 2^n
+alone is larger, so the memory of a batch does not grow with the task it
+comes from.  A batch rejects every bucket with Z < c1, the largest part,
+without elimination: a mask holding position 0 sums to at least c1 > Z, so
+the bucket's column 0 is empty and its rank is below n.
+
 The structures themselves (`enumerate_structures`) take their patterns from
 the same elimination: the pivot rows of an admitted bucket, whose masks come
 in ascending order.  Each pivot is the first row nonzero in its column, so
@@ -58,9 +65,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, permutations
+from itertools import chain, groupby, islice, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -73,6 +81,9 @@ ORACLE_CHUNK_SUPPORTS = 1 << 16
 # Largest distance from an integer a rounded oracle det or solve may show;
 # the largest error measured on these 0/1 matrices is 5e-15.
 ORACLE_ROUNDING_MARGIN = 1e-6
+# Most mask sums one search batch holds: k multisets of n values take k * 2^n,
+# 0.5 MB of int64 keys at 2^16.
+SEARCH_BATCH_SUMS = 1 << 16
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
 MAX_SEARCH_QUBITS = 22
@@ -140,6 +151,15 @@ class SearchRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Sorted records of one search, with its two counters.
+
+    `multisets_scanned` counts the multisets with gcd 1 and sum at most the
+    scanned bound.  `rank_tests` counts their (multiset, Z) buckets with at
+    least n masks and 1 <= Z <= (sum - c1) / 2: those with Z >= c1 go
+    through the elimination, and those with Z < c1 are rejected by the floor
+    of the module docstring, as its first column would reject them.
+    """
+
     n: int
     sum_bound: int
     records: tuple[SearchRecord, ...]
@@ -190,12 +210,14 @@ def equal_sum_submultisets(values: Sequence[int], z: int) -> list[tuple[int, ...
     return [_mask_positions(int(mask)) for mask in np.flatnonzero(sums == z) + 1]
 
 
-def _mask_sums(values: np.ndarray) -> np.ndarray:
-    """Column `mask` of row i: the sum of values[i] over the positions in
-    `mask`, for every mask 0 .. 2^n - 1 of a (k, n) array, by n doublings."""
-    sums = np.zeros((len(values), 1), dtype=values.dtype)
+def _mask_sums(values: np.ndarray, base=0) -> np.ndarray:
+    """Column `mask` of row i: base[i] (or base) plus the sum of values[i]
+    over the positions in `mask`, for every mask 0 .. 2^n - 1 of a (k, n)
+    array, by n doublings in place."""
+    sums = np.empty((len(values), 1 << values.shape[1]), dtype=values.dtype)
+    sums[:, 0] = base
     for j in range(values.shape[1]):
-        sums = np.concatenate([sums, sums + values[:, j:j + 1]], axis=1)
+        np.add(sums[:, :1 << j], values[:, j:j + 1], out=sums[:, 1 << j:2 << j])
     return sums
 
 
@@ -253,11 +275,9 @@ def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
 
 @lru_cache(maxsize=None)
 def _mask_bits(n: int) -> np.ndarray:
-    """0/1 bit rows of the proper masks 1 .. 2^n - 2, then one zero row that
-    pads short buckets; built on first use, not at import."""
-    masks = np.arange(1, (1 << n) - 1)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    table = np.vstack([bits, np.zeros((1, n), dtype=bits.dtype)]).astype(np.int32)
+    """0/1 bit rows of the masks 0 .. 2^n - 1; row 0, all zero, pads short
+    buckets.  Built on first use, not at import."""
+    table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int32)
     table.setflags(write=False)
     return table
 
@@ -305,44 +325,57 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
     return pivots.T
 
 
-def _admitted_pairs(
-    task: tuple[int, int, int]
-) -> tuple[list[tuple[tuple[int, ...], int]], int, int, np.ndarray]:
-    """The (multiset, Z) pairs of one task that admit a structure, multisets
-    in partition order and Z ascending, with the number of gcd-1 multisets
-    scanned, of rank tests run, and each pair's witness: the rows of
-    `_mask_bits(n)` (mask - 1) that its elimination chose as pivots.
+def _search_batches(tasks: Sequence[tuple[int, int, int]]) -> Iterator[list[tuple[int, ...]]]:
+    """The gcd-1 multisets of `tasks`, task by task in partition order, cut
+    into batches of k with k * 2^n <= SEARCH_BATCH_SUMS mask sums, or of one
+    when 2^n alone is larger, so a batch's memory does not grow with its task."""
+    if not tasks:
+        return
+    stream = ((first,) + rest
+              for n, total, first in tasks
+              for rest in partitions_fixed_length(total - first, n - 1, first)
+              if gcd(first, *rest) == 1)
+    size = max(1, SEARCH_BATCH_SUMS >> tasks[0][0])
+    while batch := list(islice(stream, size)):
+        yield batch
 
-    All multisets of a task share total and largest element, so n array
-    doublings give every mask sum, one bincount every bucket size, and the
-    buckets with at least n masks and 1 <= Z <= (total - c1) / 2 go through
-    `_full_column_rank` in batches of similar size (padding below 2x).
+
+def _scan_batch(
+    multisets: list[tuple[int, ...]]
+) -> tuple[list[tuple[tuple[int, ...], int]], int, np.ndarray]:
+    """The (multiset, Z) pairs of one batch that admit a structure, multisets
+    in batch order and Z ascending, with the number of rank tests the batch
+    counts and each pair's witness: the masks its elimination chose as pivots.
+
+    n array doublings give every mask's bucket key, multiset index *
+    (largest total + 1) + mask sum, and one bincount every bucket size.  A
+    bucket with at least n masks and 1 <= Z <= (total - c1) / 2 is a rank
+    test; the empty and the full mask fall outside that range.  A test with
+    Z < c1 fails at once: a mask holding position 0 sums to at least c1 > Z,
+    so the bucket's column 0 is empty and the elimination would stop there.
+    The other tests go through `_full_column_rank`, one call per size class
+    (padding below 2x).
     """
-    n, total, first = task
-    multisets = [
-        (first,) + rest
-        for rest in partitions_fixed_length(total - first, n - 1, first)
-        if gcd(first, *rest) == 1
-    ]
-    if not multisets:
-        return [], 0, 0, np.empty((0, n), dtype=np.intp)
-    width = total + 1  # bucket key = multiset index * width + mask sum
-    offsets = width * np.arange(len(multisets))[:, None]
-    keys = (_mask_sums(np.array(multisets))[:, 1:-1] + offsets).ravel()
-    bits = _mask_bits(n)
-    proper = len(bits) - 1
-    counts = np.bincount(keys, minlength=len(multisets) * width)
-    # Column 0 (Z = 0) is empty: every proper mask sum is at least 1.
-    candidate = counts.reshape(-1, width) >= n
-    candidate[:, (total - first) // 2 + 1:] = False
-    candidate = candidate.ravel()
+    n = len(multisets[0])
+    values = np.array(multisets)
+    firsts, totals = values[:, 0, None], values.sum(axis=1, keepdims=True)
+    width = int(totals.max()) + 1
+    keys = _mask_sums(values, width * np.arange(len(values))).ravel()
+    counts = np.bincount(keys, minlength=len(values) * width)
+    z = np.arange(width)
+    candidate = (counts.reshape(-1, width) >= n) & (z <= (totals - firsts) // 2)
+    tests = int(np.count_nonzero(candidate))
+    candidate = (candidate & (z >= firsts)).ravel()
     tested = np.flatnonzero(candidate)
-    # Member masks of the tested buckets, bucket by bucket, then the zero row.
+    # Member masks of the tested buckets, bucket by bucket and ascending within
+    # one, by one sort of key * 2^n + mask (below 2^54, as k * 2^n <= 2^22 and
+    # width < 2^32), then mask 0, the zero row.
     members = np.flatnonzero(candidate[keys])
-    members = members[np.argsort(keys[members], kind="stable")]
-    rows = np.append(members % proper, proper)
+    order = np.sort(keys[members] << n | members & (1 << n) - 1)
+    rows = np.append(order & (1 << n) - 1, 0)
     sizes = counts[tested]
     starts = np.cumsum(sizes) - sizes
+    bits = _mask_bits(n)
     pivots = np.empty((len(tested), n), dtype=np.intp)
     size_class = np.frexp(sizes)[1]
     for cls in set(size_class.tolist()):
@@ -353,12 +386,18 @@ def _admitted_pairs(
     full = pivots[:, -1] >= 0
     pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
     # A bucket's pivots count from its start in `rows`; the zero row never pivots.
-    return pairs, len(multisets), len(tested), rows[(starts[:, None] + pivots)[full]]
+    return pairs, tests, rows[(starts[:, None] + pivots)[full]]
 
 
-def _scan_chunk(task: tuple[int, int, int]) -> tuple[list[SearchRecord], int, int]:
-    pairs, scanned, tests, _ = _admitted_pairs(task)
-    records = [SearchRecord(sum(multiset) - z, multiset, z) for multiset, z in pairs]
+def _scan_tasks(tasks: Sequence[tuple[int, int, int]]) -> tuple[set[SearchRecord], int, int]:
+    """Records, gcd-1 multisets scanned and rank tests of `tasks`, streamed
+    through `_scan_batch`."""
+    records, scanned, tests = set(), 0, 0
+    for batch in _search_batches(tasks):
+        pairs, batch_tests, _ = _scan_batch(batch)
+        records.update(SearchRecord(sum(multiset) - z, multiset, z) for multiset, z in pairs)
+        scanned += len(batch)
+        tests += batch_tests
     return records, scanned, tests
 
 
@@ -366,19 +405,20 @@ def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStruct
     """Every valid structure with multiset sum <= sum_bound, one per
     (multiset, Z) pair, in deterministic order; its patterns are the pair's
     witness sorted by mask."""
-    for task in _search_tasks(n, sum_bound):
-        pairs, _, _, witnesses = _admitted_pairs(task)
+    for batch in _search_batches(_search_tasks(n, sum_bound)):
+        pairs, _, witnesses = _scan_batch(batch)
         for (multiset, z), witness in zip(pairs, np.sort(witnesses, axis=1).tolist()):
-            patterns = tuple(_mask_positions(row + 1) for row in witness)
+            patterns = tuple(_mask_positions(mask) for mask in witness)
             yield CombinatorialStructure(n, multiset, z, patterns)
 
 
 def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> SearchResult:
     """Deduplicated record set for all structures with sum <= sum_bound.
 
-    The multiset space is partitioned by (total sum, first element); chunks
-    are independent, and the merged result is sorted, so the output and the
-    counters do not depend on the worker count.
+    The tasks of `_search_tasks` stream through one batch scan; with
+    workers > 1 each process streams every workers-th task.  The merged
+    records are sorted, so the output and the counters do not depend on the
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -387,16 +427,16 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     tasks = _search_tasks(n, sum_bound)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks, chunksize=16))
+            parts = list(pool.map(_scan_tasks, [tasks[i::workers] for i in range(workers)]))
     else:
-        chunks = list(map(_scan_chunk, tasks))
-    records = {rec for chunk, _, _ in chunks for rec in chunk}
+        parts = [_scan_tasks(tasks)]
     return SearchResult(
         n,
         sum_bound,
-        tuple(sorted(records)),
-        multisets_scanned=sum(scanned for _, scanned, _ in chunks),
-        rank_tests=sum(tests for _, _, tests in chunks),
+        tuple(sorted(set().union(*(records for records, _, _ in parts)),
+                     key=attrgetter("denominator", "multiset", "z"))),
+        multisets_scanned=sum(scanned for _, scanned, _ in parts),
+        rank_tests=sum(tests for _, _, tests in parts),
     )
 
 

@@ -251,7 +251,7 @@ class TestSearch:
         def no_work(task):
             raise AssertionError("scanned a chunk")
 
-        monkeypatch.setattr(search, "_scan_chunk", no_work)
+        monkeypatch.setattr(search, "_scan_batch", no_work)
         base = str(tmp_path / "big")
         assert main(["search", "--n", "23", "--out", base]) == 2
         assert_one_line_error(capsys)

@@ -232,6 +232,11 @@ class TestSearchTables:
         multi = search_tables(5, 12, workers=2)
         assert single == multi
 
+    def test_workers_across_batch_boundaries(self):
+        # Five batches in one process, so each of two workers streams several.
+        assert len(list(search._search_batches(search._search_tasks(7, 28)))) == 5
+        assert search_tables(7, 28, workers=2) == search_tables(7, 28, workers=1)
+
 
     @pytest.mark.parametrize("n, bound, scanned, tests", [
         (6, 24, 962, 523),
@@ -241,6 +246,16 @@ class TestSearchTables:
     def test_counters(self, n, bound, scanned, tests):
         result = search_tables(n, bound)
         assert (result.multisets_scanned, result.rank_tests) == (scanned, tests)
+
+    def test_nine_qubits_pinned(self):
+        # The first pinned size with many batches in each size class.
+        result = search_tables(9, 36)
+        assert (len(result.records), result.multisets_scanned, result.rank_tests) == (
+            10604, 10165, 69820)
+        assert result.denominators == tuple(range(5, 30))
+        assert hashlib.sha256(records_to_csv(result.records).encode()).hexdigest() == (
+            "75c67358640315f75d30809c50a5b2a5bacf3634feb0a8f2bad4ff9d72b6f5f3"
+        )
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_structures_give_the_search_records(self, n):
@@ -282,11 +297,38 @@ class TestSearchTables:
                     if chosen:
                         patterns = tuple(search._mask_positions(mask) for mask in chosen)
                         expected.append((multiset, z, patterns))
-        got = [pair for task in search._search_tasks(n, bound)
-               for pair in search._admitted_pairs(task)[0]]
+        # The greedy scan admits no bucket below the floor Z >= c1 that the
+        # batch scan skips, so the floor drops only rank-deficient buckets.
+        assert all(z >= multiset[0] for multiset, z, _ in expected)
+        got = [pair for batch in search._search_batches(search._search_tasks(n, bound))
+               for pair in search._scan_batch(batch)[0]]
         assert got == [(multiset, z) for multiset, z, _ in expected]
         structures = [(s.multiset, s.z, s.patterns) for s in enumerate_structures(n, bound)]
         assert structures == expected
+
+    @pytest.mark.parametrize("budget", [search.SEARCH_BATCH_SUMS, 2 ** 6])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_batches_fit_the_budget_and_keep_the_task_stream(self, n, budget, monkeypatch):
+        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
+        tasks = search._search_tasks(n, default_sum_bound(n))
+        batches = list(search._search_batches(tasks))
+        size = max(1, budget >> n)
+        assert all(len(batch) == size for batch in batches[:-1])
+        assert 1 <= len(batches[-1]) <= size
+        assert all(len(batch) * 2 ** n <= budget or len(batch) == 1 for batch in batches)
+        assert [m for batch in batches for m in batch] == [
+            (first,) + rest
+            for _, total, first in tasks
+            for rest in search.partitions_fixed_length(total - first, n - 1, first)
+            if gcd(first, *rest) == 1
+        ]
+
+    @pytest.mark.parametrize("budget", [2 ** 5, 2 ** 9])
+    def test_batch_budget_does_not_change_output(self, budget, monkeypatch):
+        # Batches of one multiset (2^6 > 2^5) and of eight, against the default.
+        expected = search_tables(6, 24), list(enumerate_structures(6, 24))
+        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
+        assert (search_tables(6, 24), list(enumerate_structures(6, 24))) == expected
 
     def test_structure_hash(self):
         # Byte identity of every structure the search derives, witnesses included.
@@ -392,7 +434,7 @@ class TestBatchedRankTest:
         def no_work(task):
             raise AssertionError("scanned a chunk")
 
-        monkeypatch.setattr(search, "_scan_chunk", no_work)
+        monkeypatch.setattr(search, "_scan_batch", no_work)
         monkeypatch.setattr(search, "_mask_sums", no_work)
         with pytest.raises(ValueError, match="n = 22"):
             search_tables(23)
