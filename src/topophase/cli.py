@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -58,12 +59,20 @@ def _load_state(path: str) -> states.SparseState:
         raise ParseFailure(f"{path}: {exc}") from exc
 
 
+# A decimal literal with an exponent e as Fraction reads it; Fraction builds
+# 10^|e|, so |e| beyond 324 (the smallest float is 5e-324) is refused first.
+_EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                               r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
 def _fraction_list(text: str) -> list[Fraction]:
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
     try:
-        fracs = [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        huge = [m and abs(int(m[1])) > 324 for m in map(_EXPONENT_LITERAL.fullmatch, parts)]
+        fracs = [Fraction(part) for part, skip in zip(parts, huge) if not skip]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseFailure(f"expected comma-separated rationals, got {text!r}") from exc
-    if any(abs(f) > sys.float_info.max / 4 for f in fracs):  # pi * f overflows a float
+    if any(huge) or any(abs(f) > sys.float_info.max / 4 for f in fracs):  # pi * f overflows
         raise ParseFailure(f"angle out of float range in {text!r}")
     return fracs
 
@@ -269,19 +278,14 @@ def cmd_verify(args) -> int:
             )
         return EXIT_OK
 
-    if args.phis is not None:
-        fractions = _fraction_list(args.phis)
-        if len(fractions) != state.n:
-            raise ParseFailure(f"--phis needs {state.n} rationals (units of pi)")
-        unitaries = stabilizers.diagonal_stabilizer(_radians(fractions))
-        bound = lcm(*[f.denominator for f in fractions], 1)
-    else:
-        fractions = _fraction_list(args.antidiag)
-        if len(fractions) != state.n:
-            raise ParseFailure(f"--antidiag needs {state.n} rationals (units of pi)")
-        unitaries = stabilizers.antidiagonal_stabilizer(_radians(fractions))
-        bound = 2 * lcm(*[f.denominator for f in fractions], 1)
-    result = stabilizers.verify(state, unitaries, tol)
+    flag, text, build, factor = (
+        ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
+        else ("--antidiag", args.antidiag, stabilizers.antidiagonal_stabilizer, 2))
+    fractions = _fraction_list(text)
+    if len(fractions) != state.n:
+        raise ParseFailure(f"{flag} needs {state.n} rationals (units of pi)")
+    result = stabilizers.verify(state, build(_radians(fractions)), tol)
+    bound = factor * lcm(*[f.denominator for f in fractions], 1)
     chi_frac = _snap_phase(result.chi, bound, tol) if result.matched else None
     _emit(_dump(_verify_report(result, chi_frac, {})), args.out)
     if not result.matched:

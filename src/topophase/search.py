@@ -15,9 +15,9 @@ modulo the prime P = 2^31 - 1, and both steps are exact:
 - The augmented vectors (x, 1) all lie in the hyperplane c . x = Z t, on
   which dropping t is injective (Z >= 1), so rank{(x, 1)} = rank{x}.
 - A nonzero n x n 0/1 minor is at most (n+1)^((n+1)/2) / 2^n in absolute
-  value, which is below P for n <= 22 (`MAX_SEARCH_QUBITS`); so a full-rank
-  bucket keeps a minor that is nonzero modulo P, and the rank modulo P
-  equals the rank over Q.  Larger n is refused.
+  value, below P iff (n+1)^(n+1) < P^2 4^n, true for n <= 22 (a test pins
+  `MAX_SEARCH_QUBITS`); so a full-rank bucket keeps a minor nonzero modulo
+  P, and the rank modulo P equals the rank over Q.  Larger n is refused.
 
 The gcd-1 multisets stream in `_search_tasks` order and are cut into batches
 of k with k 2^n <= SEARCH_BATCH_SUMS mask sums, or of one multiset when 2^n
@@ -62,6 +62,7 @@ record the oracle returns therefore never rests on a float.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,7 +70,7 @@ from itertools import chain, groupby, islice, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +83,7 @@ ORACLE_CHUNK_SUPPORTS = 1 << 16
 # the largest error measured on these 0/1 matrices is 5e-15.
 ORACLE_ROUNDING_MARGIN = 1e-6
 # Most mask sums one search batch holds: k multisets of n values take k * 2^n,
-# 0.5 MB of int64 keys at 2^16.
+# 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call holds.
 SEARCH_BATCH_SUMS = 1 << 16
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
@@ -191,10 +192,13 @@ def completeness_bound(n: int) -> int:
     the Hadamard bound caps at (n+1)^((n+1)/2) / 2^(n-1).  On the Z range
     the search scans, c0 = sum - 2Z >= c1 is the largest coefficient, so the
     multiset sum is at most n/(n+1) of that total: 3, 4, 10, 24, 56 and 136
-    for n = 3..8.
+    for n = 3..8.  n > MAX_SEARCH_QUBITS is refused before the power is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_SEARCH_QUBITS:
+        raise ValueError(f"search is exact only up to n = {MAX_SEARCH_QUBITS} "
+                         f"(rank test modulo 2^31 - 1)")
     return n * (isqrt((n + 1) ** (n + 1)) // 2 ** (n - 1)) // (n + 1)
 
 
@@ -246,24 +250,13 @@ def partitions_fixed_length(
                 yield (first,) + rest
 
 
-def _rank_test_exact(n: int) -> bool:
-    """Whether every n x n 0/1 minor, at most (n+1)^((n+1)/2) / 2^n in
-    absolute value, lies below RANK_PRIME."""
-    return (n + 1) ** (n + 1) < RANK_PRIME ** 2 * 4 ** n
-
-
 def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     """Independent chunks (n, total, first element) of the multiset space,
     in the order `enumerate_structures` walks it.  Totals stop at
     `completeness_bound(n)` whatever sum_bound asks for, since no structure
-    lies above it."""
+    lies above it, and that refuses n > MAX_SEARCH_QUBITS."""
     if n < 3:
         raise ValueError("maximal-length structures need n >= 3")
-    if not _rank_test_exact(n):
-        raise ValueError(
-            f"search is exact only up to n = {MAX_SEARCH_QUBITS} "
-            f"(rank test modulo 2^31 - 1)"
-        )
     if sum_bound < n:
         raise ValueError(f"sum bound {sum_bound} is below the smallest multiset sum {n}")
     return [
@@ -273,13 +266,28 @@ def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _mask_bits(n: int) -> np.ndarray:
-    """0/1 bit rows of the masks 0 .. 2^n - 1; row 0, all zero, pads short
-    buckets.  Built on first use, not at import."""
-    table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int32)
-    table.setflags(write=False)
-    return table
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 rows of an array of masks below 2^31, one more axis of n
+    entries, entry j holding bit j; built in int32 in place."""
+    bits = np.right_shift(masks.astype(np.int32, copy=False)[..., None],
+                          np.arange(n, dtype=np.int32))
+    bits &= 1
+    return bits
+
+
+def _map_stripes(func: Callable, tasks: Sequence, workers: int, start_method: str) -> list:
+    """func of each stripe tasks[i::p] for p = min(workers, tasks, CPUs)
+    processes of the given start method, or of all tasks inline when p <= 1
+    (the CPU count, a file read, only when more than one process could run)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    procs = min(workers, len(tasks))
+    if procs > 1:
+        procs = min(procs, os.cpu_count() or 1)
+    if procs <= 1:
+        return [func(tasks)]
+    with ProcessPoolExecutor(max_workers=procs, mp_context=get_context(start_method)) as pool:
+        return list(pool.map(func, [tasks[i::procs] for i in range(procs)]))
 
 
 def _full_column_rank(mats: np.ndarray) -> np.ndarray:
@@ -296,7 +304,7 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
     RANK_PRIME, each step runs in int64 (products below 2^62) and reduces
     modulo RANK_PRIME.  Every entry tested for zero is thus below
     RANK_PRIME in absolute value, and the rank modulo the prime equals the
-    rank over Q while `_rank_test_exact` holds.
+    rank over Q for n <= MAX_SEARCH_QUBITS (module docstring).
     """
     work = np.asarray(mats, dtype=np.int32)
     pivots = np.full((work.shape[2], len(work)), -1)  # transposed: rows fill cheaply
@@ -353,8 +361,8 @@ def _scan_batch(
     test; the empty and the full mask fall outside that range.  A test with
     Z < c1 fails at once: a mask holding position 0 sums to at least c1 > Z,
     so the bucket's column 0 is empty and the elimination would stop there.
-    The other tests go through `_full_column_rank`, one call per size class
-    (padding below 2x).
+    The other tests go through `_full_column_rank` by size class (padding
+    below 2x), in calls of at most SEARCH_BATCH_SUMS padded rows or one bucket.
     """
     n = len(multisets[0])
     values = np.array(multisets)
@@ -375,14 +383,15 @@ def _scan_batch(
     rows = np.append(order & (1 << n) - 1, 0)
     sizes = counts[tested]
     starts = np.cumsum(sizes) - sizes
-    bits = _mask_bits(n)
     pivots = np.empty((len(tested), n), dtype=np.intp)
-    size_class = np.frexp(sizes)[1]
+    size_class = np.frexp(sizes)[1]  # sizes below 2^class
     for cls in set(size_class.tolist()):
-        pick = np.flatnonzero(size_class == cls)
-        offsets = np.arange(sizes[pick].max())
-        index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
-        pivots[pick] = _full_column_rank(bits[rows[index]])
+        picked = np.flatnonzero(size_class == cls)
+        step = max(1, SEARCH_BATCH_SUMS >> cls)
+        for pick in (picked[lo:lo + step] for lo in range(0, len(picked), step)):
+            offsets = np.arange(sizes[pick].max())
+            index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
+            pivots[pick] = _full_column_rank(_bits(rows[index], n))
     full = pivots[:, -1] >= 0
     pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
     # A bucket's pivots count from its start in `rows`; the zero row never pivots.
@@ -416,20 +425,13 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     """Deduplicated record set for all structures with sum <= sum_bound.
 
     The tasks of `_search_tasks` stream through one batch scan; with
-    workers > 1 each process streams every workers-th task.  The merged
-    records are sorted, so the output and the counters do not depend on the
-    worker count.
+    workers > 1 each forked process of `_map_stripes` streams one stripe of
+    them.  The merged records are sorted, so the output and the counters do
+    not depend on the worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if sum_bound is None:
         sum_bound = default_sum_bound(n)
-    tasks = _search_tasks(n, sum_bound)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_tasks, [tasks[i::workers] for i in range(workers)]))
-    else:
-        parts = [_scan_tasks(tasks)]
+    parts = _map_stripes(_scan_tasks, _search_tasks(n, sum_bound), workers, "fork")
     return SearchResult(
         n,
         sum_bound,
@@ -553,18 +555,19 @@ def _nearest_integers(values: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _oracle_chunk(task: tuple[int, int, int]) -> set[SearchRecord]:
-    n, lo, hi = task
-    prefixes, tails = _oracle_split(n)
-    return _support_records(n, _tail_join(prefixes[lo:hi], tails, (1 << n) - 1))
+def _oracle_chunks(tasks: Sequence[tuple[int, int, int]]) -> set[SearchRecord]:
+    records = set()
+    for n, lo, hi in tasks:
+        prefixes, tails = _oracle_split(n)
+        records |= _support_records(n, _tail_join(prefixes[lo:hi], tails, (1 << n) - 1))
+    return records
 
 
 def _support_records(n: int, supports: np.ndarray) -> set[SearchRecord]:
     """Records of the supports in the rows of `supports`, each the indices of
     its n sign rows other than all-ones (index i: the bits of mask i + 1), by
     the float det and solve and the exact certificate of the module docstring."""
-    bits = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(np.int8)
-    bt = bits[supports].swapaxes(1, 2)  # B^T: column i holds the bits of row i
+    bt = _bits(supports + 1, n).swapaxes(1, 2)  # B^T: column i holds the bits of row i
     d = _nearest_integers(np.linalg.det(bt))
     bt, d = bt[d != 0], d[d != 0]
     x = _nearest_integers(np.linalg.solve(bt, np.repeat(d[:, None, None], n, axis=1)))
@@ -589,22 +592,14 @@ def brute_force_oracle(n: int, workers: int = 1) -> set[SearchRecord]:
     rows run over all C(2^n - 1, n) choices, in lexicographic chunks with
     one batched float det and solve each (module docstring).  Each support
     whose weight rows form an irreducible c-state of maximal length
-    contributes its kernel-vector record.  With workers > 1 the chunks go to
-    spawned processes; the result does not depend on the worker count.
+    contributes its kernel-vector record.  With workers > 1, spawned processes
+    (LAPACK need not survive a fork) take the chunks in stripes.
     """
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle cost explodes beyond n={ORACLE_MAX_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = _oracle_tasks(n)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            chunks = list(pool.map(_oracle_chunk, tasks))
-    else:
-        chunks = list(map(_oracle_chunk, tasks))
-    return set().union(*chunks)
+    return set().union(*_map_stripes(_oracle_chunks, _oracle_tasks(n), workers, "spawn"))
 
 
 def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -625,7 +620,7 @@ def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, .
     keeps masks <= 62, so every sum fits a uint64.
     """
     n = len(multiset)
-    if not _rank_test_exact(n):
+    if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"A-classes are exact only up to n = {MAX_SEARCH_QUBITS}")
     pats = equal_sum_submultisets(multiset, z)
     keys = np.array(sorted(sum(1 << n - 1 - p for p in pat) for pat in pats), dtype=np.int64)
@@ -640,7 +635,7 @@ def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, .
     perms = blocks[0]  # rows in product order over the runs, so row 0 is the identity
     for block in blocks[1:]:
         perms = np.hstack([np.repeat(perms, len(block), axis=0), np.tile(block, (len(perms), 1))])
-    rows = keys[:, None] >> np.arange(n - 1, -1, -1) & 1
+    rows = _bits(keys, n)[:, ::-1]
     images = np.searchsorted(keys, rows @ (1 << n - 1 - perms.T))  # column 0: the identity
     table = np.left_shift(np.uint64(1), (width - 1 - images).astype(np.uint64))
 

@@ -1,4 +1,5 @@
 import cmath
+import os
 import random
 import time
 from fractions import Fraction
@@ -364,6 +365,13 @@ WORKED_SEVEN_QUBIT_SUPPORT = [
     "1111111", "1000000", "0111100", "0000010",
     "0100001", "0010001", "0001011", "0000101",
 ]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two CPUs, so that workers=2 starts two real processes even on a
+    one-CPU host: the worker map caps its processes at the CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 @pytest.fixture(scope="session")

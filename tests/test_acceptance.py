@@ -228,6 +228,7 @@ def test_criterion_4_oracle_equivalence(oracle_results):
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("two_cpus")
 def test_criterion_4_oracle_six_qubits(monkeypatch, capsys):
     """`oracle-check --n 6 --workers 2` (about a minute on two cores) passes,
     and the oracle's own set is the corrected printed n = 6 table."""

@@ -169,6 +169,7 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "chi_min set: pi/3 pi/4 pi/5" in out
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_deterministic_across_runs_and_workers(self, tmp_path, capsys):
         texts = []
         for i, workers in enumerate(("1", "2", "1")):
@@ -257,6 +258,16 @@ class TestSearch:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [[], ["--complete"]])
+    def test_huge_n_refused_at_once(self, flags, tmp_path, capsys):
+        base = str(tmp_path / "huge")
+        start = time.perf_counter()
+        assert main(["search", "--n", "100000000", *flags, "--out", base]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "topophase: search is exact only up to n = 22 (rank test modulo 2^31 - 1)\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("n, flags, bound, source, complete", [
         (5, ["--complete"], 10, "provable", True),
         (7, ["--complete"], 56, "provable", True),
@@ -281,6 +292,7 @@ class TestSearch:
                 f"bound {provable} for n = {n}; the table may be truncated\n"
             )
 
+    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_json_counters(self, tmp_path, capsys, workers):
         base = str(tmp_path / "c")
@@ -492,6 +504,28 @@ class TestVerify:
         assert main(["verify", ghz3_file, mode, angles]) == 1
         err = capsys.readouterr().err
         assert err.startswith("topophase: angle out of float range") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["--phis", "--antidiag"])
+    @pytest.mark.parametrize("angle", ["1e30000000", "-1E-30000000", "0.5e+3_000_000_000", "0e325"])
+    def test_huge_exponent_refused_before_fraction(self, mode, angle, ghz3_file, capsys):
+        # Fraction would build 10^|exponent| first: 1e10000000 alone takes seconds.
+        start = time.perf_counter()
+        assert main(["verify", ghz3_file, mode, f"0,{angle},0"]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == (
+            "", f"topophase: angle out of float range in '0,{angle},0'\n")
+
+    @pytest.mark.parametrize("angles", ["abc,1e30000000,0", "1/2e30000000,0,0"])
+    def test_parse_error_before_huge_exponent(self, angles, ghz3_file, capsys):
+        assert main(["verify", ghz3_file, "--phis", angles]) == 1
+        assert capsys.readouterr().err == (
+            f"topophase: expected comma-separated rationals, got {angles!r}\n")
+
+    @pytest.mark.parametrize("mode, angles", [("--phis", "1e-324,0,0"), ("--antidiag", "0,0,5e-1")])
+    def test_exponent_within_reach_kept(self, mode, angles, ghz3_file, capsys):
+        # 1e-324 rounds to a zero angle; 5e-1 is the README example's 1/2.
+        assert main(["verify", ghz3_file, mode, angles]) == 0
+        assert json.loads(capsys.readouterr().out)["matched"] is True
 
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import re
 import time
@@ -227,15 +228,46 @@ class TestSearchTables:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             search_tables(4, workers=workers)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_worker_count_does_not_change_output(self):
         single = search_tables(5, 12, workers=1)
         multi = search_tables(5, 12, workers=2)
         assert single == multi
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_workers_across_batch_boundaries(self):
         # Five batches in one process, so each of two workers streams several.
         assert len(list(search._search_batches(search._search_tasks(7, 28)))) == 5
         assert search_tables(7, 28, workers=2) == search_tables(7, 28, workers=1)
+
+    def test_processes_capped_at_tasks_and_cpus(self, monkeypatch):
+        # No process starts: the pool records what it is asked for and maps inline.
+        requested = []
+
+        class NoProcessPool:
+            def __init__(self, max_workers, mp_context):
+                requested.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, stripes):
+                return map(func, stripes)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", NoProcessPool)
+        # One task each: min(workers, tasks, CPUs) = 1 runs inline.
+        assert search_tables(3, 3, workers=10 ** 6) == search_tables(3, 3)
+        assert brute_force_oracle(3, workers=10 ** 6) == brute_force_oracle(3)
+        assert requested == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert search_tables(7, 28, workers=10 ** 6) == search_tables(7, 28)
+        monkeypatch.setattr(search, "ORACLE_CHUNK_SUPPORTS", 1)  # 35 chunks at n = 3
+        assert brute_force_oracle(3, workers=10 ** 6) == brute_force_oracle(3)
+        assert search_tables(5, 12, workers=2) == search_tables(5, 12)
+        assert requested == [(3, "fork"), (3, "spawn"), (2, "fork")]
 
 
     @pytest.mark.parametrize("n, bound, scanned, tests", [
@@ -329,6 +361,21 @@ class TestSearchTables:
         expected = search_tables(6, 24), list(enumerate_structures(6, 24))
         monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
         assert (search_tables(6, 24), list(enumerate_structures(6, 24))) == expected
+
+    def test_rank_calls_fit_the_budget(self, monkeypatch):
+        # At n = 7 and 2^5 some size class of one multiset holds more padded
+        # rows than one call may take, so it is split; the output is unchanged.
+        expected = search_tables(7, 28)
+        rank, shapes = search._full_column_rank, []
+
+        def recorded(mats):
+            shapes.append(mats.shape)
+            return rank(mats)
+
+        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", 2 ** 5)
+        monkeypatch.setattr(search, "_full_column_rank", recorded)
+        assert search_tables(7, 28) == expected
+        assert all(buckets * rows <= 2 ** 5 or buckets == 1 for buckets, rows, _ in shapes)
 
     def test_structure_hash(self):
         # Byte identity of every structure the search derives, witnesses included.
@@ -426,8 +473,12 @@ class TestBatchedRankTest:
         assert any(expected) and not all(expected)
 
     def test_exact_up_to_the_limit(self):
-        assert search._rank_test_exact(MAX_SEARCH_QUBITS)
-        assert not search._rank_test_exact(MAX_SEARCH_QUBITS + 1)
+        # Every n x n 0/1 minor, at most (n+1)^((n+1)/2) / 2^n, lies below the
+        # prime; squared, (n+1)^(n+1) < P^2 4^n.
+        def exact(n):
+            return (n + 1) ** (n + 1) < search.RANK_PRIME ** 2 * 4 ** n
+
+        assert exact(MAX_SEARCH_QUBITS) and not exact(MAX_SEARCH_QUBITS + 1)
         assert MAX_SEARCH_QUBITS == 22
 
     def test_refuses_n_beyond_limit_without_work(self, monkeypatch):
@@ -442,6 +493,22 @@ class TestBatchedRankTest:
             next(enumerate_structures(23, 92))
         with pytest.raises(ValueError, match="n = 22"):
             a_class_matrices((1,) * 23, 1)
+
+    def test_huge_n_refused_at_once(self, monkeypatch):
+        # A comparison with the constant: no (n+1)^(n+1) and no pattern list.
+        def no_work(*args):
+            raise AssertionError("built something before refusing n")
+
+        monkeypatch.setattr(search, "equal_sum_submultisets", no_work)
+        start = time.perf_counter()
+        for n in (23, 10 ** 8):
+            with pytest.raises(ValueError, match="n = 22"):
+                search_tables(n)
+            with pytest.raises(ValueError, match="n = 22"):
+                completeness_bound(n)
+        with pytest.raises(ValueError, match="n = 22"):
+            a_class_matrices((1,) * 23, 1)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestOracle:
@@ -485,6 +552,7 @@ class TestOracle:
             expected = {search._record_from_kernel(vec)} - {None} if vec else set()
             assert search._support_records(6, np.array([support])) == expected, support
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_workers_agree(self):
         records = brute_force_oracle(5, workers=2)
         assert records == brute_force_oracle(5)
