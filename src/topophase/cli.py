@@ -146,11 +146,7 @@ def _search_json(result: search.SearchResult, a_classes: bool,
 
 
 def cmd_search(args) -> int:
-    if args.bound is not None and args.complete:
-        raise ParseFailure("--bound and --complete are mutually exclusive")
-    if args.complete:
-        bound, source = search.completeness_bound(args.n), "provable"
-    elif args.bound is not None:
+    if args.bound is not None:
         bound, source = args.bound, "user"
     else:
         bound, source = search.default_sum_bound(args.n), "default-4n"
@@ -296,13 +292,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if not 3 <= args.n <= search.ORACLE_MAX_QUBITS:
-        raise ValueError(
-            f"oracle check supports 3 <= n <= {search.ORACLE_MAX_QUBITS}"
-        )
+    # The oracle first: it owns the qubit range, and refuses before any search work.
+    oracle = search.brute_force_oracle(args.n, workers=args.workers)
     bound = search.completeness_bound(args.n)
     result = search.search_tables(args.n, bound, workers=args.workers)
-    oracle = search.brute_force_oracle(args.n, workers=args.workers)
     searched = set(result.records)
     missing = sorted(oracle - searched)
     extra = sorted(searched - oracle)
@@ -334,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate structures and write phase tables")
     p.add_argument("--n", type=int, required=True, help="qubit count (>= 3)")
-    p.add_argument("--bound", type=int, help="multiset sum ceiling (default 4n)")
-    p.add_argument("--complete", action="store_true",
-                   help="use the provable completeness bound (slow beyond n = 7)")
+    p.add_argument("--bound", type=int,
+                   help="multiset sum ceiling (default 4n); complete from the provable bound up")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output base path (default search_n<N>)")
     p.add_argument("--a-classes", action="store_true", dest="a_classes",

@@ -65,7 +65,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, groupby, islice, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
@@ -444,7 +443,9 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
 
 def table_one_denominators(n: int, workers: int = 1) -> tuple[int, ...]:
     """chi_min denominators available to n qubits: the union over maximal
-    length structures at k = 3..n plus the two-qubit pi (denominator 1)."""
+    length structures at k = 3..n plus the two-qubit pi (denominator 1).
+    Each k is scanned to `default_sum_bound(k)`, so the union is provably
+    complete only through n = 7."""
     if n < 2:
         raise ValueError("phase tables start at two qubits")
     denoms = {1}
@@ -492,58 +493,27 @@ def _record_from_kernel(vec: Sequence[int]) -> Optional[SearchRecord]:
     return SearchRecord(sum(rest) - z, tuple(rest), z)
 
 
-def _tail_counts(prefixes: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Per prefix row, the number of k-subsets of range(m) above its last
-    element: C(m - 1 - last, k), with last = -1 for the empty prefix."""
-    start = prefixes[:, -1] + 1 if prefixes.shape[1] else np.zeros(len(prefixes), dtype=np.intp)
-    return np.array([comb(m - t, k) for t in range(m + 1)])[start]
-
-
-def _tail_join(prefixes: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
-    """Each prefix row followed by every row of `table`, the k-subsets of
-    range(m) in lexicographic order, that starts above the prefix's last
-    element; the result is in lexicographic order.  The rows starting at t
-    or above are the last C(m - t, k) rows of the table."""
-    sizes = _tail_counts(prefixes, m, table.shape[1])
-    ends = np.cumsum(sizes)
-    rows = np.arange(int(sizes.sum())) + np.repeat(len(table) - ends, sizes)
-    return np.hstack([np.repeat(prefixes, sizes, axis=0), table[rows]])
-
-
-@lru_cache(maxsize=None)
-def _combination_table(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as ascending rows in lexicographic order;
-    built on first use, not at import."""
-    if k == 0:
-        table = np.zeros((1, 0), dtype=np.intp)
-    else:
-        table = _tail_join(np.arange(m)[:, None], _combination_table(m, k - 1), m)
-    table.setflags(write=False)
-    return table
-
-
-def _oracle_split(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's supports, as n-subsets of the m = 2^n - 1 sign rows other
-    than all-ones, split into p-element prefixes and (n-p)-element tails: a
-    support is a prefix followed by a tail above it.  p is the least prefix
-    length whose largest block, C(m - p, n - p) supports, fits in one chunk."""
-    m = (1 << n) - 1
-    p = next(p for p in range(n + 1) if comb(m - p, n - p) <= ORACLE_CHUNK_SUPPORTS)
-    return _combination_table(m - n + p, p), _combination_table(m, n - p)
-
-
 def _oracle_tasks(n: int) -> list[tuple[int, int, int]]:
-    """Chunks (n, lo, hi) of the oracle's scan: runs of consecutive prefixes
-    of `_oracle_split(n)` holding at most ORACLE_CHUNK_SUPPORTS supports."""
-    prefixes, tails = _oracle_split(n)
-    bounds, filled = [0], 0
-    for i, size in enumerate(_tail_counts(prefixes, (1 << n) - 1, tails.shape[1]).tolist()):
-        if filled + size > ORACLE_CHUNK_SUPPORTS:
-            bounds.append(i)
-            filled = 0
-        filled += size
-    bounds.append(len(prefixes))
-    return [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    """Chunks (n, lo, hi) of the oracle's scan: ranges of at most
+    ORACLE_CHUNK_SUPPORTS consecutive colex ranks that cover the
+    C(2^n - 1, n) supports."""
+    total = comb((1 << n) - 1, n)
+    return [(n, lo, min(lo + ORACLE_CHUNK_SUPPORTS, total))
+            for lo in range(0, total, ORACLE_CHUNK_SUPPORTS)]
+
+
+def _colex_supports(n: int, lo: int, hi: int) -> np.ndarray:
+    """The n-subsets of range(2^n - 1) of colex rank lo .. hi - 1, as
+    ascending rows.  The combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3) ranks s_1 < .. < s_n as sum C(s_k, k), so s_k is the largest s
+    with C(s, k) at most the rank left after s_n .. s_(k+1)."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    rows = np.empty((len(rest), n), dtype=np.intp)
+    for k in range(n, 0, -1):
+        table = np.array([comb(s, k) for s in range((1 << n) - 1)], dtype=np.int64)
+        rows[:, k - 1] = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[rows[:, k - 1]]
+    return rows
 
 
 def _nearest_integers(values: np.ndarray) -> np.ndarray:
@@ -558,8 +528,7 @@ def _nearest_integers(values: np.ndarray) -> np.ndarray:
 def _oracle_chunks(tasks: Sequence[tuple[int, int, int]]) -> set[SearchRecord]:
     records = set()
     for n, lo, hi in tasks:
-        prefixes, tails = _oracle_split(n)
-        records |= _support_records(n, _tail_join(prefixes[lo:hi], tails, (1 << n) - 1))
+        records |= _support_records(n, _colex_supports(n, lo, hi))
     return records
 
 
@@ -589,11 +558,11 @@ def brute_force_oracle(n: int, workers: int = 1) -> set[SearchRecord]:
 
     Column negation makes any chosen row all +1 without touching the kernel,
     so supports containing the all-ones row cover every class; the other n
-    rows run over all C(2^n - 1, n) choices, in lexicographic chunks with
-    one batched float det and solve each (module docstring).  Each support
-    whose weight rows form an irreducible c-state of maximal length
-    contributes its kernel-vector record.  With workers > 1, spawned processes
-    (LAPACK need not survive a fork) take the chunks in stripes.
+    rows run over all C(2^n - 1, n) choices, in chunks of consecutive colex
+    ranks with one batched float det and solve each (module docstring).
+    Each support whose weight rows form an irreducible c-state of maximal
+    length contributes its kernel-vector record.  With workers > 1, spawned
+    processes (LAPACK need not survive a fork) take the chunks in stripes.
     """
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle cost explodes beyond n={ORACLE_MAX_QUBITS}")

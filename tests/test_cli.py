@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -15,7 +16,7 @@ from conftest import (
     telescoped,
 )
 from topophase import balance, search, stabilizers
-from topophase.cli import main
+from topophase.cli import build_parser, main
 from topophase.states import (
     SparseState,
     ghz_state,
@@ -157,6 +158,24 @@ class TestConfiguration:
         assert capsys.readouterr().err.startswith("usage: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_complete_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        # A --bound at or above the provable bound gives the complete table.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "5", "--complete"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_settable_value_count(self):
+        # Every positional and option string of every subcommand, --help aside.
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        names = [name for sub in commands.choices.values() for action in sub._actions
+                 if not isinstance(action, argparse._HelpAction)
+                 for name in action.option_strings or [action.dest]]
+        assert len(names) == 18
+
 
 class TestSearch:
     def test_n5_golden_csv(self, tmp_path, capsys):
@@ -258,7 +277,7 @@ class TestSearch:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flags", [[], ["--complete"]])
+    @pytest.mark.parametrize("flags", [[], ["--bound", str(10 ** 20)]])
     def test_huge_n_refused_at_once(self, flags, tmp_path, capsys):
         base = str(tmp_path / "huge")
         start = time.perf_counter()
@@ -269,11 +288,11 @@ class TestSearch:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n, flags, bound, source, complete", [
-        (5, ["--complete"], 10, "provable", True),
-        (7, ["--complete"], 56, "provable", True),
+        (5, ["--bound", "10"], 10, "user", True),
+        (7, ["--bound", "56"], 56, "user", True),
         (5, [], 20, "default-4n", True),
         (7, [], 28, "default-4n", False),
-        (5, ["--bound", "10"], 10, "user", True),
+        (5, ["--bound", "11"], 11, "user", True),
         (5, ["--bound", "9"], 9, "user", False),
     ])
     def test_bound_provenance(self, tmp_path, capsys, n, flags, bound, source, complete):
@@ -551,9 +570,23 @@ class TestOracleCheck:
             f"oracle check n={n}: PASS ({records} records, bound {search.completeness_bound(n)})\n"
         )
 
-    def test_bad_n(self, capsys):
-        assert main(["oracle-check", "--n", "7"]) == 2
-        assert_one_line_error(capsys)
+    def test_bad_n(self, capsys, monkeypatch):
+        # The oracle owns the qubit range and runs first; n = 2 passes it,
+        # and the search refuses.
+        assert main(["oracle-check", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "topophase: maximal-length structures need n >= 3\n"
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the oracle refused n")
+
+        monkeypatch.setattr(search, "search_tables", no_search)
+        assert main(["oracle-check", "--n", "1"]) == 2
+        assert capsys.readouterr().err == "topophase: need at least two qubits\n"
+        for n in ("7", "1000000000"):
+            start = time.perf_counter()
+            assert main(["oracle-check", "--n", n]) == 2
+            assert time.perf_counter() - start < 0.5
+            assert capsys.readouterr().err == "topophase: oracle cost explodes beyond n=6\n"
 
     def test_help_names_the_limit(self, capsys):
         with pytest.raises(SystemExit):

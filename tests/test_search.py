@@ -535,12 +535,23 @@ class TestOracle:
 
     @pytest.mark.parametrize("n, cap", [(3, 1), (3, 7), (4, 50), (4, 1365), (5, 5000)])
     def test_chunks_tile_the_supports_in_order(self, n, cap, monkeypatch):
+        # Each support once, in colex order: by largest element, then the next.
         monkeypatch.setattr(search, "ORACLE_CHUNK_SUPPORTS", cap)
-        prefixes, tails = search._oracle_split(n)
-        chunks = [search._tail_join(prefixes[lo:hi], tails, 2 ** n - 1)
-                  for _, lo, hi in search._oracle_tasks(n)]
+        chunks = [search._colex_supports(*task) for task in search._oracle_tasks(n)]
         assert max(map(len, chunks)) <= cap
-        assert np.vstack(chunks).tolist() == [list(c) for c in combinations(range(2 ** n - 1), n)]
+        rows = np.vstack(chunks)
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.tolist() == sorted(map(list, combinations(range(2 ** n - 1), n)),
+                                       key=lambda row: row[::-1])
+
+    def test_six_qubit_chunks(self):
+        tasks = search._oracle_tasks(6)
+        assert len(tasks) == 1037
+        assert [hi - lo for _, lo, hi in tasks[:-1]] == [search.ORACLE_CHUNK_SUPPORTS] * 1036
+        last = search._colex_supports(*tasks[-1])
+        assert len(last) == 50225 and tasks[-1][2] == comb(63, 6)
+        assert search._colex_supports(6, 0, 1).tolist() == [list(range(6))]
+        assert last[-1].tolist() == list(range(57, 63))
 
     def test_support_records_match_reference_per_support(self):
         # The first support's kernel is 2 * (1, 1, 1, 1, 1, 2, 1): the gcd must go.
@@ -637,12 +648,16 @@ class TestBounds:
         assert len(search_results[6].records) == 14
         assert len(search_result_7.records) == 122
 
-    def test_complete_mode_adds_nothing_small_n(self, search_results):
+    def test_complete_mode_adds_nothing_small_n(self, search_results, search_result_7):
         assert as_tuples(search_tables(3, completeness_bound(3)).records) == TRUE_RECORDS[3]
         assert as_tuples(search_tables(4, completeness_bound(4)).records) == TRUE_RECORDS[4]
         for n in range(3, 7):
             complete = search_tables(n, completeness_bound(n)).records
             assert complete == search_tables(n, 4 * n + 16).records == search_results[n].records
+        # README's claim: the default table is provably complete through n = 7.
+        complete = search_tables(7, completeness_bound(7))
+        assert complete.records == search_result_7.records
+        assert (len(complete.records), complete.multisets_scanned) == (122, 151552)
 
 
 class TestAClasses:
