@@ -11,9 +11,12 @@ Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
+import shutil
 import sys
 from fractions import Fraction
 from math import lcm
@@ -42,12 +45,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_texts(texts: dict[str, str]) -> None:
+    """Write every text to its path, or none.  Each is staged in a file beside
+    its target (through a symlink), and the targets are replaced only once all
+    are staged and none is a directory; the staged files go on any failure."""
+    staged = []
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for path, text in texts.items():
+            real = os.path.realpath(path) if os.path.islink(path) else path
+            with open(f"{real}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n") as fh:
+                staged.append((real, fh.name))
+                fh.write(text)
+            if os.path.isdir(real):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(real):
+                shutil.copymode(real, fh.name)
+        for real, tmp in staged:
+            os.replace(tmp, real)
     except OSError as exc:
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        for _, tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _load_state(path: str) -> states.SparseState:
@@ -106,7 +126,7 @@ def _dump(doc: dict) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _write_text(out, text)
+        _write_texts({out: text})
     else:
         sys.stdout.write(text)
 
@@ -117,10 +137,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _search_json(result: search.SearchResult, a_classes: bool,
-                 bound_source: str, complete: bool) -> str:
+def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str) -> str:
     records = []
-    for rec in sorted(result.records):
+    for rec in result.records:
         entry = {
             "multiset": list(rec.multiset),
             "Z": rec.z,
@@ -136,7 +155,7 @@ def _search_json(result: search.SearchResult, a_classes: bool,
         "n": result.n,
         "sum_bound": result.sum_bound,
         "bound_source": bound_source,
-        "complete": complete,
+        "complete": result.complete,
         "records": records,
         "chi_min_denominators": list(result.denominators),
         "multisets_scanned": result.multisets_scanned,
@@ -146,25 +165,18 @@ def _search_json(result: search.SearchResult, a_classes: bool,
 
 
 def cmd_search(args) -> int:
-    if args.bound is not None:
-        bound, source = args.bound, "user"
-    else:
-        bound, source = search.default_sum_bound(args.n), "default-4n"
-    result = search.search_tables(args.n, bound, workers=args.workers)
-    # After the search, which refuses an n too large for this bound to be cheap.
-    provable = search.completeness_bound(args.n)
+    result = search.search_tables(args.n, args.bound, workers=args.workers)
     base = args.out or f"search_n{args.n}"
-    # Render everything before writing, so a failure leaves no partial output.
     texts = {
         base + ".csv": search.records_to_csv(result.records),
-        base + ".json": _search_json(result, args.a_classes, source, bound >= provable),
+        base + ".json": _search_json(result, args.a_classes,
+                                     "user" if args.bound is not None else "default-4n"),
     }
-    for path, text in texts.items():
-        _write_text(path, text)
-    if bound < provable:
+    _write_texts(texts)
+    if not result.complete:
         sys.stderr.write(
-            f"topophase: warning: bound {bound} is below the provable completeness "
-            f"bound {provable} for n = {args.n}; the table may be truncated\n"
+            f"topophase: warning: bound {result.sum_bound} is below the provable completeness bound "
+            f"{search.completeness_bound(args.n)} for n = {args.n}; the table may be truncated\n"
         )
     phases = " ".join("pi" if d == 1 else f"pi/{d}" for d in result.denominators)
     sys.stdout.write(f"records: {len(result.records)}\n")
@@ -210,16 +222,6 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _verify_report(result, chi_frac, extra) -> dict:
-    doc = {
-        "matched": result.matched,
-        "chi": _frac_json(chi_frac) if chi_frac is not None else None,
-        "residual": result.residual,
-    }
-    doc.update(extra)
-    return doc
-
-
 def _snap_phase(chi_radians: float, denominator_bound: int, tolerance: float) -> Fraction | None:
     frac = Fraction(chi_radians / math.pi).limit_denominator(denominator_bound)
     if abs(float(frac) * math.pi - chi_radians) <= max(tolerance, 1e-12):
@@ -239,9 +241,7 @@ def cmd_verify(args) -> int:
     if args.derive:
         w = states.weight_matrix(state)
         if balance.phase_set(w).continuous:
-            raise ValueError(
-                "continuous phase family; no topological phase in this basis"
-            )
+            raise ValueError("continuous phase family; no topological phase in this basis")
         if args.winding is not None:
             winding = _int_list(args.winding)
             if len(winding) != state.m:
@@ -250,44 +250,31 @@ def cmd_verify(args) -> int:
             winding = [1] + [0] * (state.m - 1)
         solution = balance.solve_stabilizer(w, winding)
         if solution is None:
-            raise ValueError(
-                "winding numbers are inconsistent for this support; no stabilizer"
-            )
-        unitaries = stabilizers.diagonal_stabilizer(_radians(solution.phis))
-        result = stabilizers.verify(state, unitaries, tol)
-        agrees = (
-            abs(stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)) <= tol
-        )
-        doc = _verify_report(
-            result,
-            solution.chi,
-            {
-                "winding": list(solution.winding),
-                "phis": [_frac_json(f) for f in solution.phis],
-                "free_parameters": solution.free_parameters,
-            },
-        )
-        _emit(_dump(doc), args.out)
-        if not (result.matched and agrees):
-            raise VerificationMismatch(
-                f"derived stabilizer failed verification (residual {result.residual:g})"
-            )
-        return EXIT_OK
+            raise ValueError("winding numbers are inconsistent for this support; no stabilizer")
+        angles, build = solution.phis, stabilizers.diagonal_stabilizer
+        extra = {"winding": list(solution.winding), "phis": [_frac_json(f) for f in angles],
+                 "free_parameters": solution.free_parameters}
+        failure = "derived stabilizer failed verification"
+    else:
+        flag, text, build, factor = (
+            ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
+            else ("--antidiag", args.antidiag, stabilizers.antidiagonal_stabilizer, 2))
+        angles = _fraction_list(text)
+        if len(angles) != state.n:
+            raise ParseFailure(f"{flag} needs {state.n} rationals (units of pi)")
+        bound, extra = factor * lcm(*[f.denominator for f in angles], 1), {}
+        failure = "not an eigenstate of the supplied operator"
 
-    flag, text, build, factor = (
-        ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
-        else ("--antidiag", args.antidiag, stabilizers.antidiagonal_stabilizer, 2))
-    fractions = _fraction_list(text)
-    if len(fractions) != state.n:
-        raise ParseFailure(f"{flag} needs {state.n} rationals (units of pi)")
-    result = stabilizers.verify(state, build(_radians(fractions)), tol)
-    bound = factor * lcm(*[f.denominator for f in fractions], 1)
-    chi_frac = _snap_phase(result.chi, bound, tol) if result.matched else None
-    _emit(_dump(_verify_report(result, chi_frac, {})), args.out)
-    if not result.matched:
-        raise VerificationMismatch(
-            f"not an eigenstate of the supplied operator (residual {result.residual:g})"
-        )
+    result = stabilizers.verify(state, build(_radians(angles)), tol)
+    if args.derive:  # the numeric chi must agree with the exact one
+        chi, off = solution.chi, stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)
+    else:
+        chi, off = (_snap_phase(result.chi, bound, tol) if result.matched else None), 0.0
+    doc = {"matched": result.matched, "chi": _frac_json(chi) if chi is not None else None,
+           "residual": result.residual, **extra}
+    _emit(_dump(doc), args.out)
+    if not (result.matched and abs(off) <= tol):
+        raise VerificationMismatch(f"{failure} (residual {result.residual:g})")
     return EXIT_OK
 
 

@@ -170,15 +170,10 @@ class SearchResult:
     def denominators(self) -> tuple[int, ...]:
         return tuple(sorted({rec.denominator for rec in self.records}))
 
-
-def default_sum_bound(n: int) -> int:
-    """Default multiset-sum ceiling 4n.
-
-    It is not provably exhaustive: at n = 7 the largest multiset sum found
-    is 28 = 4n, with no margin, and at n = 8 a search to 40 finds 966
-    records more than one to 32.
-    """
-    return 4 * n
+    @property
+    def complete(self) -> bool:
+        """True iff the bound searched proves the table exhaustive."""
+        return self.sum_bound >= completeness_bound(self.n)
 
 
 def completeness_bound(n: int) -> int:
@@ -205,8 +200,11 @@ def equal_sum_submultisets(values: Sequence[int], z: int) -> list[tuple[int, ...
     """All proper position subsets of `values` with value sum z.
 
     Positions index the given sequence, so repeated values yield distinct
-    patterns at distinct positions.  Deterministic bitmask order.
+    patterns at distinct positions.  Deterministic bitmask order.  More than
+    MAX_SEARCH_QUBITS values are refused before the 2^n mask sums are built.
     """
+    if len(values) > MAX_SEARCH_QUBITS:
+        raise ValueError(f"equal-sum subsets are built only up to n = {MAX_SEARCH_QUBITS}")
     if z < 1:
         raise ValueError("Z must be positive")
     sums = _mask_sums(np.array([values], dtype=object))[0, 1:-1]  # exact for any int
@@ -421,15 +419,19 @@ def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStruct
 
 
 def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> SearchResult:
-    """Deduplicated record set for all structures with sum <= sum_bound.
+    """Deduplicated record set for all structures with sum <= sum_bound,
+    4n by default.
 
-    The tasks of `_search_tasks` stream through one batch scan; with
-    workers > 1 each forked process of `_map_stripes` streams one stripe of
-    them.  The merged records are sorted, so the output and the counters do
-    not depend on the worker count.
+    The default is not provably exhaustive: at n = 7 the largest multiset
+    sum found is 28 = 4n, with no margin, and at n = 8 a bound of 40 finds
+    966 records more than 32; `SearchResult.complete` says whether the
+    bound reaches `completeness_bound(n)`.  The tasks of `_search_tasks`
+    stream through one batch scan; with workers > 1 each forked process of
+    `_map_stripes` streams one stripe of them.  The merged records are
+    sorted, so the output and the counters do not depend on the worker count.
     """
     if sum_bound is None:
-        sum_bound = default_sum_bound(n)
+        sum_bound = 4 * n
     parts = _map_stripes(_scan_tasks, _search_tasks(n, sum_bound), workers, "fork")
     return SearchResult(
         n,
@@ -444,7 +446,7 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
 def table_one_denominators(n: int, workers: int = 1) -> tuple[int, ...]:
     """chi_min denominators available to n qubits: the union over maximal
     length structures at k = 3..n plus the two-qubit pi (denominator 1).
-    Each k is scanned to `default_sum_bound(k)`, so the union is provably
+    Each k is scanned to the default 4k, so the union is provably
     complete only through n = 7."""
     if n < 2:
         raise ValueError("phase tables start at two qubits")

@@ -386,6 +386,12 @@ def search_result_7():
 
 
 @pytest.fixture(scope="session")
+def complete_result_7():
+    """The n = 7 search to its provable bound 56, shared session-wide."""
+    return search.search_tables(7, search.completeness_bound(7))
+
+
+@pytest.fixture(scope="session")
 def oracle_results():
     """`brute_force_oracle(n)` for n = 3..5 as (records, seconds taken),
     shared session-wide."""

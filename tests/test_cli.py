@@ -111,6 +111,22 @@ class TestOutputPath:
         assert err.startswith(f"topophase: cannot write {missing}") and err.count("\n") == 1, err
         assert not (tmp_path / "no").exists()
 
+    def test_search_writes_both_tables_or_neither(self, tmp_path, capsys):
+        # The JSON target is a directory: the CSV written first must not
+        # replace the old one, and no staged file may stay behind.
+        (tmp_path / "x.json").mkdir()
+        (tmp_path / "x.csv").write_bytes(b"old table\n")
+        assert main(["search", "--n", "4", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"topophase: cannot write {tmp_path / 'x.json'}: ")
+        assert err.count("\n") == 1, err
+        assert (tmp_path / "x.csv").read_bytes() == b"old table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+        (tmp_path / "x.json").rmdir()
+        assert main(["search", "--n", "4", "--out", str(tmp_path / "x")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+        assert (tmp_path / "x.csv").read_text().startswith("multiset,Z,chi_min_denominator\n")
+
 
 class TestConfiguration:
     # Each value would have changed the run, or failed it, when these

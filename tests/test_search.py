@@ -37,7 +37,6 @@ from topophase.search import (
     a_class_matrices,
     brute_force_oracle,
     completeness_bound,
-    default_sum_bound,
     enumerate_structures,
     equal_sum_submultisets,
     records_to_csv,
@@ -291,7 +290,7 @@ class TestSearchTables:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_structures_give_the_search_records(self, n):
-        bound = default_sum_bound(n)
+        bound = 4 * n
         structures = {s.record() for s in enumerate_structures(n, bound)}
         assert structures == set(search_tables(n, bound).records)
 
@@ -342,7 +341,7 @@ class TestSearchTables:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_batches_fit_the_budget_and_keep_the_task_stream(self, n, budget, monkeypatch):
         monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
-        tasks = search._search_tasks(n, default_sum_bound(n))
+        tasks = search._search_tasks(n, 4 * n)
         batches = list(search._search_batches(tasks))
         size = max(1, budget >> n)
         assert all(len(batch) == size for batch in batches[:-1])
@@ -381,7 +380,7 @@ class TestSearchTables:
         # Byte identity of every structure the search derives, witnesses included.
         digest = hashlib.sha256()
         for n in range(3, 8):
-            for s in enumerate_structures(n, default_sum_bound(n)):
+            for s in enumerate_structures(n, 4 * n):
                 digest.update(repr((s.n, s.multiset, s.z, s.patterns)).encode())
         assert digest.hexdigest() == (
             "d27507bf919e93d39229cde93efa79ebbdc56b16ebbe4fd609961810c4765014"
@@ -508,6 +507,10 @@ class TestBatchedRankTest:
                 completeness_bound(n)
         with pytest.raises(ValueError, match="n = 22"):
             a_class_matrices((1,) * 23, 1)
+        # The real function, imported before the patch: no 2^n mask sums.
+        for values in ([1] * 23, [1] * 10 ** 6):
+            with pytest.raises(ValueError, match="n = 22"):
+                equal_sum_submultisets(values, 1)
         assert time.perf_counter() - start < 0.5
 
 
@@ -637,8 +640,8 @@ class TestBounds:
 
     def test_default_bound_covers_known_tables(self, search_results, search_result_7):
         for n in (3, 4, 5, 6):
-            assert max(sum(r.multiset) for r in search_results[n].records) <= default_sum_bound(n)
-        assert max(sum(r.multiset) for r in search_result_7.records) <= default_sum_bound(7)
+            assert max(sum(r.multiset) for r in search_results[n].records) <= 4 * n
+        assert max(sum(r.multiset) for r in search_result_7.records) <= 4 * 7
 
     def test_raised_bound_adds_nothing(self, search_results, search_result_7):
         # A real truncation check: a bound well above the largest multiset
@@ -648,16 +651,27 @@ class TestBounds:
         assert len(search_results[6].records) == 14
         assert len(search_result_7.records) == 122
 
-    def test_complete_mode_adds_nothing_small_n(self, search_results, search_result_7):
+    def test_complete_mode_adds_nothing_small_n(self, search_results, search_result_7,
+                                                complete_result_7):
         assert as_tuples(search_tables(3, completeness_bound(3)).records) == TRUE_RECORDS[3]
         assert as_tuples(search_tables(4, completeness_bound(4)).records) == TRUE_RECORDS[4]
         for n in range(3, 7):
             complete = search_tables(n, completeness_bound(n)).records
             assert complete == search_tables(n, 4 * n + 16).records == search_results[n].records
         # README's claim: the default table is provably complete through n = 7.
-        complete = search_tables(7, completeness_bound(7))
-        assert complete.records == search_result_7.records
-        assert (len(complete.records), complete.multisets_scanned) == (122, 151552)
+        assert complete_result_7.records == search_result_7.records
+        assert (len(complete_result_7.records), complete_result_7.multisets_scanned) == (
+            122, 151552)
+
+    def test_result_reports_completeness(self, search_results, search_result_7,
+                                         complete_result_7):
+        # `complete` says whether the run's own bound proves the table: the
+        # default n = 7 run holds the complete table, but 28 < 56 proves nothing.
+        defaults = [search_results[n] for n in range(3, 7)] + [search_result_7, search_tables(8)]
+        assert [r.sum_bound for r in defaults] == [12, 16, 20, 24, 28, 32]
+        assert [r.complete for r in defaults] == [True, True, True, True, False, False]
+        assert complete_result_7.sum_bound == 56 and complete_result_7.complete
+        assert search_tables(4, 10 ** 20).complete
 
 
 class TestAClasses:
