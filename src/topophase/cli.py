@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
@@ -46,26 +45,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_texts(texts: dict[str, str]) -> None:
-    """Write every text to its path, or none.  Each is staged in a file beside
-    its target (through a symlink), and the targets are replaced only once all
-    are staged and none is a directory; the staged files go on any failure."""
+    """Write every text to its path.  A missing or regular target is staged in a
+    file beside it (through a symlink) under a random name, and replaced once
+    every text is staged or written; staged files go on any failure.  A device
+    or a pipe is written in place, in turn; a directory fails there, first."""
     staged = []
     try:
         for path, text in texts.items():
+            if os.path.exists(path) and not os.path.isfile(path):
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+                continue
             real = os.path.realpath(path) if os.path.islink(path) else path
-            with open(f"{real}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n") as fh:
-                staged.append((real, fh.name))
+            with open(f"{real}.{os.urandom(8).hex()}.tmp", "x", encoding="utf-8",
+                      newline="\n") as fh:
+                staged.append((path, real, fh.name))
                 fh.write(text)
-            if os.path.isdir(real):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if os.path.exists(real):
                 shutil.copymode(real, fh.name)
-        for real, tmp in staged:
+        for path, real, tmp in staged:
             os.replace(tmp, real)
     except OSError as exc:
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
     finally:
-        for _, tmp in staged:
+        for _, _, tmp in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
 
@@ -151,7 +154,7 @@ def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str
                 for matrix in search.a_class_matrices(rec.multiset, rec.z)
             ]
         records.append(entry)
-    doc = {
+    return _dump({
         "n": result.n,
         "sum_bound": result.sum_bound,
         "bound_source": bound_source,
@@ -160,8 +163,7 @@ def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str
         "chi_min_denominators": list(result.denominators),
         "multisets_scanned": result.multisets_scanned,
         "rank_tests": result.rank_tests,
-    }
-    return _dump(doc)
+    })
 
 
 def cmd_search(args) -> int:
@@ -222,16 +224,8 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _snap_phase(chi_radians: float, denominator_bound: int, tolerance: float) -> Fraction | None:
-    frac = Fraction(chi_radians / math.pi).limit_denominator(denominator_bound)
-    if abs(float(frac) * math.pi - chi_radians) <= max(tolerance, 1e-12):
-        return frac
-    return None
-
-
 def cmd_verify(args) -> int:
-    chosen = [bool(args.derive), args.phis is not None, args.antidiag is not None]
-    if sum(chosen) != 1:
+    if sum([bool(args.derive), args.phis is not None, args.antidiag is not None]) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
     if args.winding is not None and not args.derive:
         raise ParseFailure("--winding applies only with --derive")
@@ -241,20 +235,25 @@ def cmd_verify(args) -> int:
     if args.derive:
         w = states.weight_matrix(state)
         if balance.phase_set(w).continuous:
-            raise ValueError("continuous phase family; no topological phase in this basis")
-        if args.winding is not None:
-            winding = _int_list(args.winding)
-            if len(winding) != state.m:
-                raise ParseFailure(f"--winding needs {state.m} integers")
-        else:
-            winding = [1] + [0] * (state.m - 1)
+            raise ValueError(
+                "continuous phase family; no topological phase in this basis"
+            )
+        winding = _int_list(args.winding) if args.winding is not None else [1] + [0] * (state.m - 1)
+        if len(winding) != state.m:
+            raise ParseFailure(f"--winding needs {state.m} integers")
         solution = balance.solve_stabilizer(w, winding)
         if solution is None:
-            raise ValueError("winding numbers are inconsistent for this support; no stabilizer")
+            raise ValueError(
+                "winding numbers are inconsistent for this support; no stabilizer"
+            )
         angles, build = solution.phis, stabilizers.diagonal_stabilizer
         extra = {"winding": list(solution.winding), "phis": [_frac_json(f) for f in angles],
                  "free_parameters": solution.free_parameters}
         failure = "derived stabilizer failed verification"
+
+        def judge(result):  # the numeric chi must agree with the exact one
+            off = stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)
+            return solution.chi, abs(off) <= tol
     else:
         flag, text, build, factor = (
             ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
@@ -262,18 +261,21 @@ def cmd_verify(args) -> int:
         angles = _fraction_list(text)
         if len(angles) != state.n:
             raise ParseFailure(f"{flag} needs {state.n} rationals (units of pi)")
-        bound, extra = factor * lcm(*[f.denominator for f in angles], 1), {}
+        bound = factor * lcm(*[f.denominator for f in angles], 1)
+        extra = {}
         failure = "not an eigenstate of the supplied operator"
 
+        def judge(result):  # the numeric chi snapped to the lcm bound, if it lies that close
+            frac = Fraction(result.chi / math.pi).limit_denominator(bound) if result.matched else None
+            near = frac is not None and abs(float(frac) * math.pi - result.chi) <= max(tol, 1e-12)
+            return (frac if near else None), True
+
     result = stabilizers.verify(state, build(_radians(angles)), tol)
-    if args.derive:  # the numeric chi must agree with the exact one
-        chi, off = solution.chi, stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)
-    else:
-        chi, off = (_snap_phase(result.chi, bound, tol) if result.matched else None), 0.0
+    chi, agrees = judge(result)
     doc = {"matched": result.matched, "chi": _frac_json(chi) if chi is not None else None,
            "residual": result.residual, **extra}
     _emit(_dump(doc), args.out)
-    if not (result.matched and abs(off) <= tol):
+    if not (result.matched and agrees):
         raise VerificationMismatch(f"{failure} (residual {result.residual:g})")
     return EXIT_OK
 

@@ -419,8 +419,7 @@ def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStruct
 
 
 def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> SearchResult:
-    """Deduplicated record set for all structures with sum <= sum_bound,
-    4n by default.
+    """Deduplicated record set for all structures with sum <= sum_bound (4n by default).
 
     The default is not provably exhaustive: at n = 7 the largest multiset
     sum found is 28 = 4n, with no margin, and at n = 8 a bound of 40 finds

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import stat
 import time
 from itertools import product
 
@@ -126,6 +128,22 @@ class TestOutputPath:
         assert main(["search", "--n", "4", "--out", str(tmp_path / "x")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
         assert (tmp_path / "x.csv").read_text().startswith("multiset,Z,chi_min_denominator\n")
+
+    def test_out_writes_through_a_pipe(self, ghz3_file, tmp_path, capsys):
+        # A pipe is written in place, as a device would be: it stays a pipe,
+        # and its reader, open before the run, gets the report.
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["analyze", ghz3_file, "--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ghz3.json", "report"]
+        assert main(["analyze", ghz3_file]) == 0
+        assert received.decode() == capsys.readouterr().out
 
 
 class TestConfiguration:
