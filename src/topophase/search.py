@@ -19,12 +19,13 @@ modulo the prime P = 2^31 - 1, and both steps are exact:
   `MAX_SEARCH_QUBITS`); so a full-rank bucket keeps a minor nonzero modulo
   P, and the rank modulo P equals the rank over Q.  Larger n is refused.
 
-The gcd-1 multisets stream in `_search_tasks` order and are cut into batches
-of k with k 2^n <= SEARCH_BATCH_SUMS mask sums, or of one multiset when 2^n
-alone is larger, so the memory of a batch does not grow with the task it
-comes from.  A batch rejects every bucket with Z < c1, the largest part,
-without elimination: a mask holding position 0 sums to at least c1 > Z, so
-the bucket's column 0 is empty and its rank is below n.
+The gcd-1 multisets stream in `_search_tasks` order as int64 arrays, built
+part by part in numpy blocks of at most SEARCH_BATCH_SUMS / n rows per layer,
+and are cut into batches of k with k 2^n <= SEARCH_BATCH_SUMS mask sums, or
+of one multiset when 2^n alone is larger, so neither the stream's memory nor
+a batch's grows with the tasks.  A batch rejects every bucket with Z < c1,
+the largest part, without elimination: a mask holding position 0 sums to at
+least c1 > Z, so the bucket's column 0 is empty and its rank is below n.
 
 The structures themselves (`enumerate_structures`) take their patterns from
 the same elimination: the pivot rows of an admitted bucket, whose masks come
@@ -65,7 +66,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, permutations
+from itertools import chain, groupby, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
 from operator import attrgetter
@@ -82,7 +83,9 @@ ORACLE_CHUNK_SUPPORTS = 1 << 16
 # the largest error measured on these 0/1 matrices is 5e-15.
 ORACLE_ROUNDING_MARGIN = 1e-6
 # Most mask sums one search batch holds: k multisets of n values take k * 2^n,
-# 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call holds.
+# 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call holds,
+# and the most rows of n parts the multiset expansion holds over all its layers
+# (one parent's children aside).
 SEARCH_BATCH_SUMS = 1 << 16
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
@@ -133,10 +136,8 @@ class CombinatorialStructure:
 
     def sign_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Pattern-by-position sign matrix: +1 at members, -1 elsewhere."""
-        return tuple(
-            tuple(1 if j in set(pat) else -1 for j in range(self.n))
-            for pat in self.patterns
-        )
+        members = map(set, self.patterns)
+        return tuple(tuple(1 if j in pat else -1 for j in range(self.n)) for pat in members)
 
 
 @dataclass(frozen=True, order=True)
@@ -226,27 +227,6 @@ def _mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def partitions_fixed_length(
-    total: int, parts: int, max_part: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing positive partitions of `total` into exactly `parts`,
-    lexicographically descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    hi = total - (parts - 1)
-    if max_part is not None:
-        hi = min(hi, max_part)
-    lo = -(-total // parts)
-    for first in range(hi, lo - 1, -1):
-        if parts == 1:
-            yield (first,)
-        else:
-            for rest in partitions_fixed_length(total - first, parts - 1, first):
-                yield (first,) + rest
-
-
 def _search_tasks(n: int, sum_bound: int) -> list[tuple[int, int, int]]:
     """Independent chunks (n, total, first element) of the multiset space,
     in the order `enumerate_structures` walks it.  Totals stop at
@@ -302,16 +282,21 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
     modulo RANK_PRIME.  Every entry tested for zero is thus below
     RANK_PRIME in absolute value, and the rank modulo the prime equals the
     rank over Q for n <= MAX_SEARCH_QUBITS (module docstring).
+
+    The work array is a column-major copy, (n, B, m), so the leading column
+    is one contiguous slab and dropping it is a view; each step updates the
+    remaining columns in place, and `mats` itself is never written.
     """
-    work = np.asarray(mats, dtype=np.int32)
-    pivots = np.full((work.shape[2], len(work)), -1)  # transposed: rows fill cheaply
-    alive = np.arange(len(work))
+    work = np.array(np.moveaxis(mats, 2, 0), dtype=np.int32, order="C")  # always a copy
+    pivots = np.full(work.shape[:2], -1)  # transposed: rows fill cheaply
+    alive = np.arange(work.shape[1])
     bound = 1
-    for col in range(work.shape[2]):
-        nonzero = work[:, :, 0] != 0
+    for col in range(len(pivots)):
+        nonzero = work[0] != 0
         has_pivot = nonzero.any(axis=1)
         if not has_pivot.all():
-            alive, work, nonzero = alive[has_pivot], work[has_pivot], nonzero[has_pivot]
+            alive, nonzero = alive[has_pivot], nonzero[has_pivot]
+            work = work.compress(has_pivot, axis=1)
             if not len(alive):
                 break
         first = nonzero.argmax(axis=1)
@@ -319,38 +304,84 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
         bound = 2 * bound * bound
         if bound >= RANK_PRIME:
             work = work.astype(np.int64, copy=False)
-        pivot = work[np.arange(len(work)), first][:, None, :]
-        lead = work[:, :, :1] * pivot[:, :, 1:]
-        work = pivot[:, :, :1] * work[:, :, 1:]
-        work -= lead
-        del lead
+        picked = work[:, np.arange(len(alive)), first]  # (columns, B): the pivot rows
+        lead, rest = work[0], work[1:]
+        rest *= picked[0, :, None]
+        rest -= lead * picked[1:, :, None]
+        work = rest
         if bound >= RANK_PRIME:
             work %= RANK_PRIME
             bound = RANK_PRIME - 1
     return pivots.T
 
 
-def _search_batches(tasks: Sequence[tuple[int, int, int]]) -> Iterator[list[tuple[int, ...]]]:
-    """The gcd-1 multisets of `tasks`, task by task in partition order, cut
-    into batches of k with k * 2^n <= SEARCH_BATCH_SUMS mask sums, or of one
-    when 2^n alone is larger, so a batch's memory does not grow with its task."""
+def _expand_layer(prefix: np.ndarray, rest: np.ndarray, hi: np.ndarray, counts: np.ndarray,
+                  ends: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """The children of rows (prefix, rest): row r with column `col` set to
+    each next part from hi[r] down, counts[r] of them (ending at ends[r], their
+    cumulative sum), in row order, and the sums they leave."""
+    part = (hi + ends - counts).repeat(counts) - np.arange(ends[-1])
+    children = prefix.repeat(counts, axis=0)
+    children[:, col] = part
+    return children, rest.repeat(counts) - part
+
+
+def _search_batches(tasks: Sequence[tuple[int, int, int]]) -> Iterator[np.ndarray]:
+    """The gcd-1 multisets of `tasks` as int64 (k, n) arrays, task by task
+    and lexicographically descending within a task, cut into batches of k
+    with k * 2^n <= SEARCH_BATCH_SUMS mask sums, or of one when 2^n alone is
+    larger, so a batch's memory does not grow with its task; every batch is
+    full but the last.
+
+    The partitions come from a layered expansion of the tasks.  A row holds
+    its first parts and the sum s left for the k parts to come; its next part
+    runs from min(cap, s - k + 1) down to ceil(s/k), the cap being the part
+    before it, so every choice leaves a feasible rest and the last part is s.
+    Before a layer would hold more than SEARCH_BATCH_SUMS // n rows, its
+    parents are cut into blocks that each stay within that (or hold one
+    parent), taken depth first.  Each layer then keeps at most one pending
+    array of that size, so the n layers together hold at most
+    SEARCH_BATCH_SUMS rows of n parts, whatever the tasks.
+    """
     if not tasks:
         return
-    stream = ((first,) + rest
-              for n, total, first in tasks
-              for rest in partitions_fixed_length(total - first, n - 1, first)
-              if gcd(first, *rest) == 1)
-    size = max(1, SEARCH_BATCH_SUMS >> tasks[0][0])
-    while batch := list(islice(stream, size)):
-        yield batch
+    n = tasks[0][0]
+    size, layer_rows = max(1, SEARCH_BATCH_SUMS >> n), max(1, SEARCH_BATCH_SUMS // n)
+    spec = np.array(tasks, dtype=np.int64)
+    rows = np.zeros((len(spec), n), dtype=np.int64)
+    rows[:, 0] = spec[:, 2]
+    stack = [(rows, spec[:, 1] - spec[:, 2], 1)]
+    carry = np.empty((0, n), dtype=np.int64)
+    while stack:
+        rows, rest, col = stack.pop()
+        parts = n - col
+        if parts > 1:
+            hi = np.minimum(rows[:, col - 1], rest - (parts - 1))
+            counts = hi + 1 + rest // -parts  # hi - ceil(rest / parts) + 1, at least 1
+            ends = counts.cumsum()
+            if len(rows) > 1 and ends[-1] > layer_rows:  # a first block now, the rest later
+                cut = max(1, ends.searchsorted(layer_rows, side="right"))
+                stack.append((rows[cut:], rest[cut:], col))
+                rows, rest, hi, counts, ends = (a[:cut] for a in (rows, rest, hi, counts, ends))
+            stack.append((*_expand_layer(rows, rest, hi, counts, ends, col), col + 1))
+            continue
+        rows[:, col] = rest
+        block = np.concatenate([carry, rows[np.gcd.reduce(rows, axis=1) == 1]])
+        full = len(block) - len(block) % size
+        for lo in range(0, full, size):
+            yield block[lo:lo + size]
+        carry = block[full:]
+    if len(carry):
+        yield carry
 
 
 def _scan_batch(
-    multisets: list[tuple[int, ...]]
+    values: np.ndarray
 ) -> tuple[list[tuple[tuple[int, ...], int]], int, np.ndarray]:
-    """The (multiset, Z) pairs of one batch that admit a structure, multisets
-    in batch order and Z ascending, with the number of rank tests the batch
-    counts and each pair's witness: the masks its elimination chose as pivots.
+    """The (multiset, Z) pairs of one (k, n) batch that admit a structure,
+    multisets in batch order and Z ascending, with the number of rank tests
+    the batch counts and each pair's witness: the masks its elimination chose
+    as pivots.
 
     n array doublings give every mask's bucket key, multiset index *
     (largest total + 1) + mask sum, and one bincount every bucket size.  A
@@ -361,8 +392,7 @@ def _scan_batch(
     The other tests go through `_full_column_rank` by size class (padding
     below 2x), in calls of at most SEARCH_BATCH_SUMS padded rows or one bucket.
     """
-    n = len(multisets[0])
-    values = np.array(multisets)
+    n = values.shape[1]
     firsts, totals = values[:, 0, None], values.sum(axis=1, keepdims=True)
     width = int(totals.max()) + 1
     keys = _mask_sums(values, width * np.arange(len(values))).ravel()
@@ -390,7 +420,7 @@ def _scan_batch(
             index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
             pivots[pick] = _full_column_rank(_bits(rows[index], n))
     full = pivots[:, -1] >= 0
-    pairs = [(multisets[k], int(z)) for k, z in zip(*np.divmod(tested[full], width))]
+    pairs = [(tuple(values[k].tolist()), int(z)) for k, z in zip(*np.divmod(tested[full], width))]
     # A bucket's pivots count from its start in `rows`; the zero row never pivots.
     return pairs, tests, rows[(starts[:, None] + pivots)[full]]
 

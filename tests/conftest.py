@@ -248,6 +248,37 @@ def python_mask_sums(values):
     return sums
 
 
+def partitions_fixed_length(total, parts, max_part=None):
+    """Nonincreasing positive partitions of `total` into exactly `parts`,
+    at most `max_part` each, lexicographically descending."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    hi = total - (parts - 1)
+    if max_part is not None:
+        hi = min(hi, max_part)
+    lo = -(-total // parts)
+    for first in range(hi, lo - 1, -1):
+        if parts == 1:
+            yield (first,)
+        else:
+            for rest in partitions_fixed_length(total - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def reference_multisets(tasks):
+    """The gcd-1 multisets of search tasks (n, total, first), one recursive
+    partition at a time, in task order: the reference for the search's
+    numpy stream."""
+    return [
+        (first,) + rest
+        for n, total, first in tasks
+        for rest in partitions_fixed_length(total - first, n - 1, first)
+        if gcd(first, *rest) == 1
+    ]
+
+
 def equal_sum_masks(values, z):
     """Proper masks of `values` summing to z, ascending."""
     sums = python_mask_sums(values)

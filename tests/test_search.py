@@ -19,6 +19,7 @@ from conftest import (
     python_mask_sums,
     reference_a_classes,
     reference_brute_force_oracle,
+    reference_multisets,
     sign_orbit,
 )
 from topophase.balance import (
@@ -317,17 +318,12 @@ class TestSearchTables:
         # search decided it before the batched test; its first n independent
         # masks are the patterns the structures carry.
         expected = []
-        for task in search._search_tasks(n, bound):
-            _, total, first = task
-            for rest in search.partitions_fixed_length(total - first, n - 1, first):
-                multiset = (first,) + rest
-                if gcd(*multiset) != 1:
-                    continue
-                for z in range(1, (total - first) // 2 + 1):
-                    chosen = greedy_selection(n, equal_sum_masks(multiset, z))
-                    if chosen:
-                        patterns = tuple(search._mask_positions(mask) for mask in chosen)
-                        expected.append((multiset, z, patterns))
+        for multiset in reference_multisets(search._search_tasks(n, bound)):
+            for z in range(1, (sum(multiset) - multiset[0]) // 2 + 1):
+                chosen = greedy_selection(n, equal_sum_masks(multiset, z))
+                if chosen:
+                    patterns = tuple(search._mask_positions(mask) for mask in chosen)
+                    expected.append((multiset, z, patterns))
         # The greedy scan admits no bucket below the floor Z >= c1 that the
         # batch scan skips, so the floor drops only rank-deficient buckets.
         assert all(z >= multiset[0] for multiset, z, _ in expected)
@@ -347,12 +343,51 @@ class TestSearchTables:
         assert all(len(batch) == size for batch in batches[:-1])
         assert 1 <= len(batches[-1]) <= size
         assert all(len(batch) * 2 ** n <= budget or len(batch) == 1 for batch in batches)
-        assert [m for batch in batches for m in batch] == [
-            (first,) + rest
-            for _, total, first in tasks
-            for rest in search.partitions_fixed_length(total - first, n - 1, first)
-            if gcd(first, *rest) == 1
+        assert all(batch.dtype == np.int64 and batch.shape[1] == n for batch in batches)
+        assert [row for batch in batches for row in batch.tolist()] == [
+            list(multiset) for multiset in reference_multisets(tasks)
         ]
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    @pytest.mark.parametrize("n", [5, 7, 8, 9])
+    def test_stripes_keep_the_task_stream(self, n, procs):
+        # What each worker of `_map_stripes` streams: every stripe tasks[i::p].
+        tasks = search._search_tasks(n, 4 * n)
+        for i in range(procs):
+            stripe = tasks[i::procs]
+            assert [row for batch in search._search_batches(stripe) for row in batch.tolist()] == [
+                list(multiset) for multiset in reference_multisets(stripe)
+            ]
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_expansion_layers_fit_the_budget(self, n, monkeypatch):
+        # At 2^6 a layer may hold 2^6 // n rows, or one parent's children, so
+        # the n layers together stay within 2^6; the stream is far larger.
+        # `test_lone_parent_beyond_the_budget` covers the lone parent.
+        budget, layers, expand = 2 ** 6, [], search._expand_layer
+
+        def recorded(prefix, *args):
+            children = expand(prefix, *args)
+            layers.append((len(prefix), len(children[0])))
+            return children
+
+        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
+        monkeypatch.setattr(search, "_expand_layer", recorded)
+        tasks = search._search_tasks(n, 4 * n)
+        rows = [row for batch in search._search_batches(tasks) for row in batch.tolist()]
+        assert rows == [list(multiset) for multiset in reference_multisets(tasks)]
+        assert len(rows) > budget
+        assert all(children <= budget // n or parents == 1 for parents, children in layers)
+
+    @pytest.mark.parametrize("task", [(3, 30, 20), (4, 40, 20)])
+    def test_lone_parent_beyond_the_budget(self, task, monkeypatch):
+        # One task whose first part alone has more children than the budget.
+        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", 2 ** 2)
+        rows = [row for batch in search._search_batches([task]) for row in batch.tolist()]
+        assert rows == [list(multiset) for multiset in reference_multisets([task])]
+
+    def test_no_tasks_no_batches(self):
+        assert list(search._search_batches([])) == []
 
     @pytest.mark.parametrize("budget", [2 ** 5, 2 ** 9])
     def test_batch_budget_does_not_change_output(self, budget, monkeypatch):
@@ -470,6 +505,17 @@ class TestBatchedRankTest:
         expected = [_check_pivots(pivots, mat.tolist(), n) for pivots, mat in zip(got, mats)]
         assert [pivots[-1] >= 0 for pivots in got] == expected
         assert any(expected) and not all(expected)
+
+    @pytest.mark.parametrize("shape", [(40, 11, 7), (1, 1, 7)])
+    def test_leaves_its_argument_unchanged(self, shape):
+        # An int32 (1, 1, n) stack moved to (n, 1, 1) is already contiguous,
+        # so only an explicit copy keeps the in-place update off the caller's array.
+        mats = np.random.default_rng(7).integers(0, 2, size=shape, dtype=np.int32)
+        mats[:, 0, 0] = 1  # a pivot in column 0, so the first update runs
+        before = mats.copy()
+        got = search._full_column_rank(mats)
+        assert np.array_equal(mats, before)
+        assert got.shape == (shape[0], shape[2])
 
     def test_exact_up_to_the_limit(self):
         # Every n x n 0/1 minor, at most (n+1)^((n+1)/2) / 2^n, lies below the
