@@ -18,6 +18,7 @@ import re
 import shutil
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Sequence
 
@@ -124,7 +125,42 @@ def _frac_json(f: Fraction) -> dict:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True)` and a newline, byte for
+    byte, without the pure-Python encoder that `indent` selects: objects and
+    arrays are laid out here, an array of ints in one join, and every other
+    value goes through `json.dumps`."""
+    parts = []
+    _render(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(value, indent: str, parts: list) -> None:
+    if type(value) is int:
+        parts.append(str(value))
+    elif type(value) is str:
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            name = key if isinstance(key, str) else json.dumps(key)  # as json converts keys
+            parts += (sep, inner, encode_basestring_ascii(name), ": ")
+            _render(value[key], inner, parts)
+            sep = ","
+        parts += (indent, "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if all(type(item) is int for item in value):
+            parts += ("[", inner, ("," + inner).join(map(str, value)), indent, "]")
+            return
+        sep = "["
+        for item in value:
+            parts += (sep, inner)
+            _render(item, inner, parts)
+            sep = ","
+        parts += (indent, "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -215,7 +251,7 @@ def cmd_construct(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"cannot read {args.structure}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ParseFailure(f"{args.structure}: invalid JSON: {exc}") from exc
     structure = _structure_from_doc(doc)
     search.validate_structure(structure)

@@ -9,30 +9,52 @@ order; for each (multiset, Z) pair a structure exists iff the 0/1 indicator
 vectors of the equal-sum subsets, augmented with a homogenizing 1, span rank
 n over the rationals.
 
-The search decides that rank in batches, without the homogenizing 1 and
-modulo the prime P = 2^31 - 1, and both steps are exact:
+The search decides that rank in batches, without the homogenizing 1, on the
+quotient of each bucket by the permutations of equal parts, and modulo the
+prime P = 2^31 - 1; every step is exact:
 
 - The augmented vectors (x, 1) all lie in the hyperplane c . x = Z t, on
   which dropping t is injective (Z >= 1), so rank{(x, 1)} = rank{x}.
-- A nonzero n x n 0/1 minor is at most (n+1)^((n+1)/2) / 2^n in absolute
-  value, below P iff (n+1)^(n+1) < P^2 4^n, true for n <= 22 (a test pins
-  `MAX_SEARCH_QUBITS`); so a full-rank bucket keeps a minor nonzero modulo
-  P, and the rank modulo P equals the rank over Q.  Larger n is refused.
+- Count space.  Let the runs of equal parts have lengths k_1 .. k_r, and G
+  be the group of permutations within runs.  A bucket B is G-invariant, and
+  so is its span V.  As a G-module, Q^n is the sum of the r trivial lines
+  of the run indicators and, for each run with k_i >= 2, the standard
+  module of its S_(k_i): the vectors on run i that sum to 0.  Each standard
+  module is irreducible and occurs once (no other is isomorphic to it, and
+  it is not trivial), so its isotypic projection, an element of the group
+  algebra, maps V onto V's intersection with it, which is 0 or all of it.
+  The trivial projection, the average over G, maps x to the run means
+  a_i(x) / k_i of its counts a_i(x) = |x & run i|.  So V = Q^n, rank n, iff
+  (a) for each run with k_i >= 2 some mask of B is not constant on it, and
+  (b) the count vectors a(x) of B have rank r.
+  Both read only the canonical masks of B, whose bits in each run form a
+  prefix, ((m >> 1) & ~m & tied) == 0: one per count vector.  A mask not
+  constant on run i has a canonical image with 0 < a_i < k_i, whose bit
+  changes inside run i.
+- A nonzero s x s 0/1 minor is at most h(s) = (s+1)^((s+1)/2) / 2^s in
+  absolute value (Hadamard).  By Cauchy-Binet, an r x r minor of the count
+  matrix, the 0/1 rows times the n x r run indicators, sums at most prod k_i
+  such minors, one per choice of a position in each run; prod k_i h(r) < P
+  for every composition of n <= 22 (a test pins it).  The worst case is
+  r = n, prod k_i = 1, where (n+1)^(n+1) < P^2 4^n holds up to n = 22 and
+  not beyond (`MAX_SEARCH_QUBITS`).  So a rank-r count matrix keeps a minor
+  nonzero modulo P, and its rank modulo P equals its rank over Q; so does
+  a full-rank 0/1 matrix of n columns.  Larger n is refused.
 
 The gcd-1 multisets stream in `_search_tasks` order as int64 arrays, built
 part by part in numpy blocks of at most SEARCH_BATCH_SUMS / n rows per layer,
 and are cut into batches of k with k 2^n <= SEARCH_BATCH_SUMS mask sums, or
 of one multiset when 2^n alone is larger, so neither the stream's memory nor
 a batch's grows with the tasks.  A batch rejects every bucket with Z < c1,
-the largest part, without elimination: a mask holding position 0 sums to at
-least c1 > Z, so the bucket's column 0 is empty and its rank is below n.
+the largest part, without a rank test: a mask holding position 0 sums to at
+least c1 > Z, so every mask of the bucket is 0 there and its rank is below n.
 
 The structures themselves (`enumerate_structures`) take their patterns from
-the same elimination: the pivot rows of an admitted bucket, whose masks come
-in ascending order.  Each pivot is the first row nonzero in its column, so
-every prefix of the bucket holds as many pivots as its rank, which makes the
-pivots the lexicographically first basis, the first n masks whose augmented
-indicators are independent.
+a mask-level elimination of the admitted buckets alone (`_witnesses`), whose
+masks come in ascending order; `search_tables` never runs it.  Each pivot is
+the first row nonzero in its column, so every prefix of the bucket holds as
+many pivots as its rank, which makes the pivots the lexicographically first
+basis, the first n masks whose augmented indicators are independent.
 
 A brute-force oracle for n <= 6 (`brute_force_oracle`) enumerates supports
 directly and must reproduce the same record sets.  It shares nothing with the
@@ -92,6 +114,7 @@ RANK_PRIME = 2 ** 31 - 1
 MAX_SEARCH_QUBITS = 22
 # Most work `a_class_matrices` takes on: C(masks, n) + |G| * masks.
 A_CLASS_WORK_LIMIT = 10 ** 7
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -157,8 +180,8 @@ class SearchResult:
     `multisets_scanned` counts the multisets with gcd 1 and sum at most the
     scanned bound.  `rank_tests` counts their (multiset, Z) buckets with at
     least n masks and 1 <= Z <= (sum - c1) / 2: those with Z >= c1 go
-    through the elimination, and those with Z < c1 are rejected by the floor
-    of the module docstring, as its first column would reject them.
+    through the count-space test, and those with Z < c1 are rejected by the
+    floor of the module docstring, as that test would reject them.
     """
 
     n: int
@@ -252,6 +275,11 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
+def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
+    """The number of set bits of each entry of an array of masks below 2^n."""
+    return sum(_BYTE_POPCOUNT[masks >> shift & 255] for shift in range(0, n, 8))
+
+
 def _map_stripes(func: Callable, tasks: Sequence, workers: int, start_method: str) -> list:
     """func of each stripe tasks[i::p] for p = min(workers, tasks, CPUs)
     processes of the given start method, or of all tasks inline when p <= 1
@@ -268,20 +296,22 @@ def _map_stripes(func: Callable, tasks: Sequence, workers: int, start_method: st
 
 
 def _full_column_rank(mats: np.ndarray) -> np.ndarray:
-    """Per matrix of a (B, m, n) stack of 0/1 matrices, the row chosen as
-    pivot in each column, -1 from the first column without one: the matrix
-    has rank n over Q iff its last entry is >= 0.
+    """Per matrix of a (B, m, n) integer stack, the row chosen as pivot in
+    each column, -1 from the first column without one: the matrix has rank n
+    modulo RANK_PRIME iff its last entry is >= 0.
 
     Division-free elimination: each step takes the first row with a nonzero
     entry in the leading column as pivot, sets every row to ``p*row -
     a*pivot`` (the pivot row itself becomes zero) and drops the column; a
     matrix without a nonzero entry there is rank deficient and leaves the
     batch.  A step takes entries bounded by b to entries bounded by 2*b^2,
-    so the first steps run exactly in int32; once the bound reaches
-    RANK_PRIME, each step runs in int64 (products below 2^62) and reduces
-    modulo RANK_PRIME.  Every entry tested for zero is thus below
-    RANK_PRIME in absolute value, and the rank modulo the prime equals the
-    rank over Q for n <= MAX_SEARCH_QUBITS (module docstring).
+    from b = the input's largest |entry|, so the first steps run exactly in
+    int32; once the bound reaches RANK_PRIME, each step runs in int64
+    (products below 2^62) and reduces modulo RANK_PRIME.  Every entry tested
+    for zero is thus below RANK_PRIME in absolute value, so the result is the
+    rank modulo the prime of any input with entries below it.  That equals
+    the rank over Q for the search's inputs, 0/1 rows and count vectors with
+    n <= MAX_SEARCH_QUBITS (module docstring).
 
     The work array is a column-major copy, (n, B, m), so the leading column
     is one contiguous slab and dropping it is a view; each step updates the
@@ -290,7 +320,7 @@ def _full_column_rank(mats: np.ndarray) -> np.ndarray:
     work = np.array(np.moveaxis(mats, 2, 0), dtype=np.int32, order="C")  # always a copy
     pivots = np.full(work.shape[:2], -1)  # transposed: rows fill cheaply
     alive = np.arange(work.shape[1])
-    bound = 1
+    bound = int(np.abs(work).max(initial=1))
     for col in range(len(pivots)):
         nonzero = work[0] != 0
         has_pivot = nonzero.any(axis=1)
@@ -377,20 +407,22 @@ def _search_batches(tasks: Sequence[tuple[int, int, int]]) -> Iterator[np.ndarra
 
 def _scan_batch(
     values: np.ndarray
-) -> tuple[list[tuple[tuple[int, ...], int]], int, np.ndarray]:
+) -> tuple[list[tuple[tuple[int, ...], int]], int, np.ndarray, np.ndarray]:
     """The (multiset, Z) pairs of one (k, n) batch that admit a structure,
     multisets in batch order and Z ascending, with the number of rank tests
-    the batch counts and each pair's witness: the masks its elimination chose
-    as pivots.
+    the batch counts, the keys of the admitted buckets and every mask's key
+    (the input of `_witnesses`).
 
     n array doublings give every mask's bucket key, multiset index *
     (largest total + 1) + mask sum, and one bincount every bucket size.  A
     bucket with at least n masks and 1 <= Z <= (total - c1) / 2 is a rank
     test; the empty and the full mask fall outside that range.  A test with
     Z < c1 fails at once: a mask holding position 0 sums to at least c1 > Z,
-    so the bucket's column 0 is empty and the elimination would stop there.
-    The other tests go through `_full_column_rank` by size class (padding
-    below 2x), in calls of at most SEARCH_BATCH_SUMS padded rows or one bucket.
+    so no mask of the bucket holds position 0.  The others are decided in
+    count space (module docstring) on their canonical members, the masks
+    whose bits in each run of equal parts form a prefix: (a) the members' bit
+    changes inside the runs meet every run of two or more parts, and (b)
+    their count vectors, at least r of them, have rank r (`_full_count_rank`).
     """
     n = values.shape[1]
     firsts, totals = values[:, 0, None], values.sum(axis=1, keepdims=True)
@@ -402,15 +434,94 @@ def _scan_batch(
     tests = int(np.count_nonzero(candidate))
     candidate = (candidate & (z >= firsts)).ravel()
     tested = np.flatnonzero(candidate)
-    # Member masks of the tested buckets, bucket by bucket and ascending within
-    # one, by one sort of key * 2^n + mask (below 2^54, as k * 2^n <= 2^22 and
-    # width < 2^32), then mask 0, the zero row.
+    if not len(tested):
+        return [], tests, tested, keys
+    # Runs of equal parts: bit j of tied[k] says parts j and j+1 of row k are
+    # equal, so a run of k_i >= 2 parts is a block of k_i - 1 tied bits.
+    differ = values[:, 1:] != values[:, :-1]
+    tied = ~differ @ (1 << np.arange(n - 1))
+    runs = differ.sum(axis=1) + 1
+    # The canonical members of the tested buckets, bucket by bucket.
     members = np.flatnonzero(candidate[keys])
+    masks = members & (1 << n) - 1
+    members = members[(masks >> 1 & ~masks & tied[members >> n]) == 0]
+    masks, owner, starts, sizes = _bucket_members(keys, members, tested, n)
+    owner //= width
+    multiset = tested // width
+    # (a): the members' bit changes inside runs meet every block of tied bits.
+    # Adding a block's lowest bit to its unmet bits carries out of the block,
+    # into a bit that is not tied, iff the whole block is unmet.
+    changes = np.bitwise_or.reduceat((masks ^ masks >> 1) & tied[owner], starts)
+    own = tied[multiset]
+    ok = (((own & ~changes) + (own & ~(own << 1))) & ~own) == 0
+    # (b): at least r count vectors, and rank r.  One run needs no more: its
+    # count is Z divided by the part, never 0.
+    ok &= sizes >= runs[multiset]
+    live = np.flatnonzero(ok & (runs[multiset] > 1))
+    if len(live):
+        r = runs[multiset[live]]
+        ok[live] = _full_count_rank(_run_counts(values, masks, owner, int(r.max())),
+                                    starts[live], sizes[live], r)
+    admitted = tested[ok]
+    rows = values.tolist()
+    pairs = [(tuple(rows[k]), z) for k, z in zip(*(a.tolist() for a in np.divmod(admitted, width)))]
+    return pairs, tests, admitted, keys
+
+
+def _run_counts(values: np.ndarray, masks: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """Entry (j, i): the bits of masks[j] in run i of the equal parts of
+    values[rows[j]], for runs i < width (0 past a row's last run)."""
+    new_run = np.ones(values.shape, dtype=bool)
+    new_run[:, 1:] = values[:, 1:] != values[:, :-1]
+    run_of = new_run.cumsum(axis=1) - 1
+    first = np.full((len(values), int(run_of[:, -1].max()) + 2), values.shape[1])
+    row, col = np.nonzero(new_run)
+    first[row, run_of[row, col]] = col  # first[k, i]: run i's first position
+    runs_mask = (1 << first[:, 1:]) - (1 << first[:, :-1])
+    return _popcount(masks[:, None] & runs_mask[rows, :width], values.shape[1])
+
+
+def _full_count_rank(counts: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                     runs: np.ndarray) -> np.ndarray:
+    """Per bucket b, whether rows starts[b] .. starts[b] + sizes[b] - 1 of
+    `counts` have rank runs[b], by `_full_column_rank` in calls of at most
+    SEARCH_BATCH_SUMS padded rows (or one bucket).  A bucket of r runs is
+    padded to all R columns of `counts` by the unit rows of columns r .. R-1,
+    which add R - r to its rank, and then by zero rows to the tallest."""
+    wide = counts.shape[1]
+    table = np.concatenate([counts, np.eye(wide, dtype=counts.dtype), np.zeros((1, wide), counts.dtype)])
+    size, start, units = sizes[:, None], starts[:, None], len(counts) + runs[:, None]
+    height = size + wide - runs[:, None]
+    t = np.arange(int(height.max()))
+    index = np.where(t < size, start + t, np.where(t < height, units - size + t, len(table) - 1))
+    step = max(1, SEARCH_BATCH_SUMS // len(t))
+    return np.concatenate([_full_column_rank(table[index[lo:lo + step]])[:, -1] >= 0
+                           for lo in range(0, len(index), step)])
+
+
+def _bucket_members(keys: np.ndarray, members: np.ndarray, buckets: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The masks at `members`, indices into a batch's `keys`, bucket by
+    bucket and ascending within one, by one sort of key * 2^n + mask (below
+    2^54, as k * 2^n <= 2^22 and width < 2^32); with each one's key, and the
+    start and size of each of `buckets`, ascending keys, among them."""
     order = np.sort(keys[members] << n | members & (1 << n) - 1)
-    rows = np.append(order & (1 << n) - 1, 0)
-    sizes = counts[tested]
-    starts = np.cumsum(sizes) - sizes
-    pivots = np.empty((len(tested), n), dtype=np.intp)
+    owner = order >> n
+    starts = np.searchsorted(owner, buckets)
+    return order & (1 << n) - 1, owner, starts, np.searchsorted(owner, buckets, side="right") - starts
+
+
+def _witnesses(keys: np.ndarray, admitted: np.ndarray, n: int) -> np.ndarray:
+    """Per admitted bucket of a `_scan_batch`, the masks its elimination
+    picks as pivots, in column order: the lexicographically first basis
+    (module docstring).  The buckets' masks, ascending, go through
+    `_full_column_rank` by size class (padding below 2x), in calls of at
+    most SEARCH_BATCH_SUMS padded rows or one bucket."""
+    hit = np.zeros(int(keys.max()) + 1, dtype=bool)
+    hit[admitted] = True
+    masks, _, starts, sizes = _bucket_members(keys, np.flatnonzero(hit[keys]), admitted, n)
+    rows = np.append(masks, 0)  # then the zero row
+    pivots = np.empty((len(admitted), n), dtype=np.intp)
     size_class = np.frexp(sizes)[1]  # sizes below 2^class
     for cls in set(size_class.tolist()):
         picked = np.flatnonzero(size_class == cls)
@@ -419,10 +530,8 @@ def _scan_batch(
             offsets = np.arange(sizes[pick].max())
             index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
             pivots[pick] = _full_column_rank(_bits(rows[index], n))
-    full = pivots[:, -1] >= 0
-    pairs = [(tuple(values[k].tolist()), int(z)) for k, z in zip(*np.divmod(tested[full], width))]
     # A bucket's pivots count from its start in `rows`; the zero row never pivots.
-    return pairs, tests, rows[(starts[:, None] + pivots)[full]]
+    return rows[starts[:, None] + pivots]
 
 
 def _scan_tasks(tasks: Sequence[tuple[int, int, int]]) -> tuple[set[SearchRecord], int, int]:
@@ -430,7 +539,7 @@ def _scan_tasks(tasks: Sequence[tuple[int, int, int]]) -> tuple[set[SearchRecord
     through `_scan_batch`."""
     records, scanned, tests = set(), 0, 0
     for batch in _search_batches(tasks):
-        pairs, batch_tests, _ = _scan_batch(batch)
+        pairs, batch_tests, _, _ = _scan_batch(batch)
         records.update(SearchRecord(sum(multiset) - z, multiset, z) for multiset, z in pairs)
         scanned += len(batch)
         tests += batch_tests
@@ -442,7 +551,8 @@ def enumerate_structures(n: int, sum_bound: int) -> Iterator[CombinatorialStruct
     (multiset, Z) pair, in deterministic order; its patterns are the pair's
     witness sorted by mask."""
     for batch in _search_batches(_search_tasks(n, sum_bound)):
-        pairs, _, witnesses = _scan_batch(batch)
+        pairs, _, admitted, keys = _scan_batch(batch)
+        witnesses = _witnesses(keys, admitted, batch.shape[1])
         for (multiset, z), witness in zip(pairs, np.sort(witnesses, axis=1).tolist()):
             patterns = tuple(_mask_positions(mask) for mask in witness)
             yield CombinatorialStructure(n, multiset, z, patterns)

@@ -126,7 +126,7 @@ def parse_state(text: str) -> SparseState:
     """Parse the JSON state format, reporting the offending term on error."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise ValueError("state document must be an object with 'n' and 'terms'")

@@ -8,6 +8,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIVE_QUBIT_MAXLEN_PI4,
@@ -17,7 +19,7 @@ from conftest import (
     WORKED_SEVEN_QUBIT_SUPPORT,
     telescoped,
 )
-from topophase import balance, search, stabilizers
+from topophase import balance, cli, search, stabilizers
 from topophase.cli import build_parser, main
 from topophase.states import (
     SparseState,
@@ -94,6 +96,34 @@ class TestAnalyze:
         path.write_text(doc)
         assert main([command[0], str(path), *command[1:]]) == 1
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", [["analyze"], ["verify", "--derive"], ["construct"]],
+                             ids=["analyze", "verify", "construct"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError here, not JSONDecodeError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"topophase: {path}: invalid JSON: ") and err.count("\n") == 1, err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=6)
+                   | st.dictionaries(st.integers() | st.floats() | st.booleans(), inner, max_size=6)),
+    max_leaves=20,
+)
+
+
+class TestRender:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), json_values, max_size=6))
+    def test_dump_matches_json(self, doc):
+        # Floats (NaN and infinities included), unicode, number and bool keys,
+        # tuples, bools among ints and nesting, byte for byte.
+        assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestOutputPath:

@@ -4,7 +4,7 @@ import random
 import re
 import time
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from conftest import (
     equal_sum_masks,
     greedy_selection,
     independent_selections,
+    partitions_fixed_length,
     python_mask_sums,
     reference_a_classes,
     reference_brute_force_oracle,
@@ -82,6 +83,19 @@ TRUE_RECORDS = {
 
 def as_tuples(records):
     return {(rec.multiset, rec.z, rec.denominator) for rec in records}
+
+
+@st.composite
+def repeated_part_batches(draw):
+    """Batches of one to three nonincreasing multisets of one n, 3..12, each
+    with a repeated part."""
+    n = draw(st.integers(3, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(st.integers(1, 7), min_size=n - 1, max_size=n - 1))
+        parts.append(draw(st.sampled_from(parts)))
+        rows.append(sorted(parts, reverse=True))
+    return np.array(rows, dtype=np.int64)
 
 
 class TestEqualSumSubmultisets:
@@ -296,21 +310,29 @@ class TestSearchTables:
         assert structures == set(search_tables(n, bound).records)
 
     @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24), (7, 28)])
-    def test_structures_reuse_the_search_elimination(self, n, bound, monkeypatch):
-        # The witnesses come out of the search's own pass: enumerating the
-        # structures costs no mask sum and no rank test beyond the search's.
-        calls = {}
-        for name in ("_full_column_rank", "_mask_sums"):
-            def counted(*args, _name=name, _inner=getattr(search, name)):
-                calls[_name] = calls.get(_name, 0) + 1
+    def test_structures_add_one_pass_over_the_admitted_buckets(self, n, bound, monkeypatch):
+        # The structures take the search's mask sums and its count-space rank
+        # calls, and add one mask-level elimination of the admitted buckets
+        # alone, for their witnesses.
+        calls = {"_full_column_rank": [], "_mask_sums": []}
+        for name in calls:
+            def recorded(*args, _name=name, _inner=getattr(search, name)):
+                calls[_name].append(args[0].copy())
                 return _inner(*args)
-            monkeypatch.setattr(search, name, counted)
-        list(enumerate_structures(n, bound))
-        structures = dict(calls)
-        calls.clear()
+            monkeypatch.setattr(search, name, recorded)
+        structures = list(enumerate_structures(n, bound))
+        found = {name: list(arrays) for name, arrays in calls.items()}
+        for arrays in calls.values():
+            arrays.clear()
         search_tables(n, bound)
-        assert structures == calls
-        assert structures["_full_column_rank"] > 0
+        assert [a.tolist() for a in found["_mask_sums"]] == [a.tolist() for a in calls["_mask_sums"]]
+        extra = [mats.tolist() for mats in found["_full_column_rank"]]
+        for mats in calls["_full_column_rank"]:
+            extra.remove(mats.tolist())  # the search's own calls
+        buckets = sorted(tuple(sum(bit << j for j, bit in enumerate(row)) for row in mat if any(row))
+                         for mats in extra for mat in mats)
+        assert buckets == sorted(tuple(equal_sum_masks(s.multiset, s.z)) for s in structures)
+        assert len(calls["_full_column_rank"]) > 0
 
     @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24)])
     def test_batched_scan_matches_greedy_on_every_bucket(self, n, bound):
@@ -332,6 +354,22 @@ class TestSearchTables:
         assert got == [(multiset, z) for multiset, z, _ in expected]
         structures = [(s.multiset, s.z, s.patterns) for s in enumerate_structures(n, bound)]
         assert structures == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_part_batches())
+    def test_count_space_matches_greedy(self, values):
+        # The count-space decision of every scanned Z against the exact greedy
+        # scan of the bucket's masks, and the witnesses against its choice.
+        expected = []
+        for multiset in map(tuple, values.tolist()):
+            for z in range(1, (sum(multiset) - multiset[0]) // 2 + 1):
+                chosen = greedy_selection(len(multiset), equal_sum_masks(multiset, z))
+                if chosen:
+                    expected.append(((multiset, z), chosen))
+        pairs, _, admitted, keys = search._scan_batch(values)
+        assert pairs == [pair for pair, _ in expected]
+        witnesses = search._witnesses(keys, admitted, values.shape[1])
+        assert np.sort(witnesses, axis=1).tolist() == [chosen for _, chosen in expected]
 
     @pytest.mark.parametrize("budget", [search.SEARCH_BATCH_SUMS, 2 ** 6])
     @pytest.mark.parametrize("n", range(3, 10))
@@ -397,19 +435,32 @@ class TestSearchTables:
         assert (search_tables(6, 24), list(enumerate_structures(6, 24))) == expected
 
     def test_rank_calls_fit_the_budget(self, monkeypatch):
-        # At n = 7 and 2^5 some size class of one multiset holds more padded
-        # rows than one call may take, so it is split; the output is unchanged.
-        expected = search_tables(7, 28)
-        rank, shapes = search._full_column_rank, []
+        # At n = 7 and 2^5 some size class of the structures' mask-level pass
+        # over one multiset holds more padded rows than one call may take, and
+        # at 2^3 so do the count-space buckets of one multiset; both are split,
+        # and the output is unchanged.
+        expected = search_tables(7, 28), list(enumerate_structures(7, 28))
+        rank, scan, shapes, per_scan = search._full_column_rank, search._scan_batch, [], []
 
         def recorded(mats):
             shapes.append(mats.shape)
             return rank(mats)
 
-        monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", 2 ** 5)
+        def scanned(values):
+            before = len(shapes)
+            result = scan(values)
+            per_scan.append(len(shapes) - before)
+            return result
+
         monkeypatch.setattr(search, "_full_column_rank", recorded)
-        assert search_tables(7, 28) == expected
-        assert all(buckets * rows <= 2 ** 5 or buckets == 1 for buckets, rows, _ in shapes)
+        monkeypatch.setattr(search, "_scan_batch", scanned)
+        for budget in (2 ** 5, 2 ** 3):
+            monkeypatch.setattr(search, "SEARCH_BATCH_SUMS", budget)
+            shapes.clear()
+            per_scan.clear()
+            assert (search_tables(7, 28), list(enumerate_structures(7, 28))) == expected
+            assert all(buckets * rows <= budget or buckets == 1 for buckets, rows, _ in shapes)
+        assert max(per_scan) > 1
 
     def test_structure_hash(self):
         # Byte identity of every structure the search derives, witnesses included.
@@ -525,6 +576,30 @@ class TestBatchedRankTest:
 
         assert exact(MAX_SEARCH_QUBITS) and not exact(MAX_SEARCH_QUBITS + 1)
         assert MAX_SEARCH_QUBITS == 22
+
+    def test_count_minors_below_the_prime(self):
+        # An r x r minor of a bucket's count matrix is at most prod k_i h(r)
+        # (module docstring); squared, prod k_i^2 (r+1)^(r+1) < P^2 4^r.  It
+        # reads only the run lengths as a multiset, so the partitions of n
+        # cover every composition; the worst is r = n, the 0/1 bound.
+        def exact(n):
+            return all(prod(lengths) ** 2 * (r + 1) ** (r + 1) < search.RANK_PRIME ** 2 * 4 ** r
+                       for r in range(1, n + 1) for lengths in partitions_fixed_length(n, r))
+
+        assert all(exact(n) for n in range(1, MAX_SEARCH_QUBITS + 1))
+        assert not exact(MAX_SEARCH_QUBITS + 1)
+
+    @pytest.mark.parametrize("n", [8, 16, MAX_SEARCH_QUBITS])
+    def test_count_entries_stay_exact(self, n):
+        # Count-sized entries start the elimination's bound at their largest,
+        # not 1: from 1, the fourth step would wrap int32, and the dependence
+        # of the last column on the two before it would not survive modulo P.
+        rng = np.random.default_rng(n)
+        mats = rng.integers(0, n + 1, size=(30, n + 2, n))
+        mats[:10, :, -1] = 2 * mats[:10, :, -2] + 3 * mats[:10, :, -3]  # rank deficient
+        got = search._full_column_rank(mats)[:, -1] >= 0
+        assert got.tolist() == [len(_accepted_rows(mat.tolist())) == n for mat in mats]
+        assert got.any() and not got.all()
 
     def test_refuses_n_beyond_limit_without_work(self, monkeypatch):
         def no_work(task):
