@@ -90,7 +90,7 @@ _EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    parts = [part.strip() for part in text.split(",")]  # an empty field fails in Fraction
     try:
         huge = [m and abs(int(m[1])) > 324 for m in map(_EXPONENT_LITERAL.fullmatch, parts)]
         fracs = [Fraction(part) for part, skip in zip(parts, huge) if not skip]
@@ -115,7 +115,7 @@ def _radians(fracs: Sequence[Fraction]) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]  # int refuses an empty field
     except ValueError as exc:
         raise ParseFailure(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -176,30 +176,38 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str) -> str:
-    records = []
-    for rec in result.records:
-        entry = {
-            "multiset": list(rec.multiset),
-            "Z": rec.z,
-            "chi_min_denominator": rec.denominator,
-        }
+def _records_json(result: search.SearchResult, a_classes: bool) -> str:
+    """The search JSON's records array, byte for byte as `_dump` lays it out at
+    its place in the document: one %-template per record, with the record's
+    A-class matrices (laid out by `_render`) when `a_classes` is set."""
+    template = ('{\n      "Z": %d,%s\n      "chi_min_denominator": %d,\n      "multiset": ['
+                + "\n        %d," * result.n)[:-1] + "\n      ]\n    }"
+    entries = []
+    for denominator, multiset, z in result.records:
+        classes = ""
         if a_classes:
-            entry["a_class_matrices"] = [
-                [list(row) for row in matrix]
-                for matrix in search.a_class_matrices(rec.multiset, rec.z)
-            ]
-        records.append(entry)
-    return _dump({
+            parts = ['\n      "a_class_matrices": ']
+            _render(search.a_class_matrices(multiset, z), "\n      ", parts)
+            classes = "".join(parts) + ","
+        entries.append(template % (z, classes, denominator, *multiset))
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+
+
+def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str) -> str:
+    """`_dump` of the search document: `_dump` lays out the shell with an empty
+    records array, and `_records_json` takes its place.  The shell's other keys
+    are fixed and its one string is escaped, so that text occurs only there."""
+    shell = _dump({
         "n": result.n,
         "sum_bound": result.sum_bound,
         "bound_source": bound_source,
         "complete": result.complete,
-        "records": records,
+        "records": [],
         "chi_min_denominators": list(result.denominators),
         "multisets_scanned": result.multisets_scanned,
         "rank_tests": result.rank_tests,
     })
+    return shell.replace('"records": []', '"records": ' + _records_json(result, a_classes), 1)
 
 
 def cmd_search(args) -> int:

@@ -91,8 +91,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby, permutations
 from math import comb, factorial, gcd, isqrt, prod
 from multiprocessing import get_context
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -163,10 +162,10 @@ class CombinatorialStructure:
         return tuple(tuple(1 if j in pat else -1 for j in range(self.n)) for pat in members)
 
 
-@dataclass(frozen=True, order=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """Table row: chi_min denominator, multiset (c0 excluded), pattern sum Z.
-    Field order gives the (denominator, multiset, Z) sort used everywhere."""
+    A plain tuple, so its natural order is the (denominator, multiset, Z)
+    table order, and sorting, hashing and pickling stay in C."""
 
     denominator: int
     multiset: tuple[int, ...]
@@ -575,8 +574,7 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     return SearchResult(
         n,
         sum_bound,
-        tuple(sorted(set().union(*(records for records, _, _ in parts)),
-                     key=attrgetter("denominator", "multiset", "z"))),
+        tuple(sorted(set().union(*(records for records, _, _ in parts)))),
         multisets_scanned=sum(scanned for _, scanned, _ in parts),
         rank_tests=sum(tests for _, _, tests in parts),
     )
@@ -764,6 +762,6 @@ def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, .
 
 def records_to_csv(records: Iterable[SearchRecord]) -> str:
     lines = ["multiset,Z,chi_min_denominator"]
-    for rec in sorted(records):
-        lines.append(f"{';'.join(map(str, rec.multiset))},{rec.z},{rec.denominator}")
+    for denominator, multiset, z in sorted(records):
+        lines.append(("%d;" * len(multiset))[:-1] % multiset + f",{z},{denominator}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import re
 import stat
 import time
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,39 @@ class TestRender:
         # Floats (NaN and infinities included), unicode, number and bool keys,
         # tuples, bools among ints and nesting, byte for byte.
         assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_search_json_matches_json(self, data):
+        # The records template against the encoder, on random search documents:
+        # parts up to 10^15, any bound_source text, with and without small
+        # A-class matrices (drawn per record instead of computed).
+        n = data.draw(st.integers(3, 22), label="n")
+        value = st.integers(1, 10 ** 15)
+        records = data.draw(st.lists(st.builds(
+            lambda d, parts, z: search.SearchRecord(d, tuple(sorted(parts, reverse=True)), z),
+            value, st.lists(value, min_size=n, max_size=n), value), max_size=30), label="records")
+        row = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(tuple)
+        classes = {(rec.multiset, rec.z): data.draw(st.lists(st.lists(row, max_size=3).map(tuple),
+                                                             max_size=2)) for rec in records}
+        a_classes = data.draw(st.booleans(), label="a_classes")
+        source = data.draw(st.text(max_size=12), label="bound_source")
+        result = search.SearchResult(n, data.draw(value), tuple(records), data.draw(value),
+                                     data.draw(value))
+        entries = []
+        for rec in records:
+            entry = {"multiset": list(rec.multiset), "Z": rec.z,
+                     "chi_min_denominator": rec.denominator}
+            if a_classes:
+                entry["a_class_matrices"] = classes[rec.multiset, rec.z]
+            entries.append(entry)
+        doc = {"n": n, "sum_bound": result.sum_bound, "bound_source": source,
+               "complete": result.complete, "records": entries,
+               "chi_min_denominators": list(result.denominators),
+               "multisets_scanned": result.multisets_scanned, "rank_tests": result.rank_tests}
+        with mock.patch.object(search, "a_class_matrices", lambda multiset, z: classes[multiset, z]):
+            text = cli._search_json(result, a_classes, source)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestOutputPath:
@@ -310,6 +344,20 @@ class TestSearch:
         doc = json.loads(data)
         assert sum(len(rec["a_class_matrices"]) for rec in doc["records"]) == classes
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, flags, csv_digest, json_digest", [
+        (8, ["--bound", "32"], "61758bbdec1565df701d317882dcbbcab40f2a51864bd5b408f9469b07b41e9d",
+         "d5c2bec0bcfe27fb4d5e11b614fb33ee617d4783c49180ed4aca63a1b758da3d"),
+        # Two forked workers: the records are pickled back, merged and sorted.
+        (9, ["--workers", "2"], "75c67358640315f75d30809c50a5b2a5bacf3634feb0a8f2bad4ff9d72b6f5f3",
+         "d7cbd8163c3900b16a1e7f0d0d09f9771ff2a26d03ef8cff83053ffba1c181f0"),
+    ], ids=["n8_bound32", "n9_workers2"])
+    @pytest.mark.usefixtures("two_cpus")
+    def test_search_tables_pinned(self, n, flags, csv_digest, json_digest, tmp_path, capsys):
+        base = str(tmp_path / "s")
+        assert main(["search", "--n", str(n), *flags, "--out", base]) == 0
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == json_digest
 
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "3", "--workers", "0"],
@@ -613,6 +661,18 @@ class TestVerify:
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1
         assert main(["verify", ghz3_file, "--derive", "--phis", "0,0,0"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--phis", "1,,0,0"], ["--phis", ",1,0,0"], ["--phis", "1,0,0,"], ["--phis", "1, ,0,0"],
+        ["--antidiag", "0,,0,1/2"], ["--derive", "--winding", "1,,0"],
+        ["--derive", "--winding", ",1,0"], ["--derive", "--winding", "1,0,"],
+    ])
+    def test_empty_field_refused(self, flags, ghz3_file, capsys):
+        # Without the empty field each list has the length the state needs.
+        assert main(["verify", ghz3_file, *flags]) == 1
+        kind = "integers" if "--derive" in flags else "rationals"
+        assert capsys.readouterr() == (
+            "", f"topophase: expected comma-separated {kind}, got {flags[-1]!r}\n")
 
     @pytest.mark.parametrize("mode", [["--phis", "1,0,0"], ["--antidiag", "0,0,1/2"]])
     def test_winding_needs_derive(self, mode, ghz3_file, tmp_path, capsys):

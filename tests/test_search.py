@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import random
 import re
 import time
@@ -183,6 +184,17 @@ class TestSearchTables:
 
     def test_six_qubit_specific_row(self, search_results):
         assert SearchRecord(9, (4, 3, 2, 2, 1, 1), 4) in search_results[6].records
+
+    def test_record_is_a_plain_tuple(self, search_results):
+        # The table order, tuple equality and hash, and a pickle round trip
+        # (how worker processes return their records).
+        records = list(search_results[6].records)
+        assert sorted(reversed(records)) == sorted(
+            records, key=lambda rec: (rec.denominator, rec.multiset, rec.z)) == records
+        rec = SearchRecord(9, (4, 3, 2, 2, 1, 1), 4)
+        assert rec == (9, (4, 3, 2, 2, 1, 1), 4) and hash(rec) == hash(tuple(rec))
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is SearchRecord and back.z == 4
 
     def test_records_round_trip(self, search_results):
         for n in (3, 4, 5, 6):
