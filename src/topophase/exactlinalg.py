@@ -18,10 +18,11 @@ here:
   returned.
 
 The third is the search's rank test, `search._full_column_rank`, which
-eliminates modulo a prime in numpy.  The search runs it on the count vectors
-of each bucket's canonical masks, and `enumerate_structures` on the 0/1 masks
-of the admitted buckets alone, whose pivot rows are the witness patterns;
-`a_class_matrices` runs it on its selections.
+eliminates modulo a prime in numpy.  One bucket helper, `search._bucket_pivots`,
+feeds it both the count vectors of each bucket's canonical masks, for the
+search, and the 0/1 masks of the admitted buckets alone, whose pivot rows are
+`enumerate_structures`' witness patterns; `a_class_matrices` runs it on its
+selections.
 
 Everything is arbitrary precision; no floating point anywhere.  Matrices are
 passed around as sequences of equal-length integer rows; all operations are

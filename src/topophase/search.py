@@ -49,12 +49,16 @@ a batch's grows with the tasks.  A batch rejects every bucket with Z < c1,
 the largest part, without a rank test: a mask holding position 0 sums to at
 least c1 > Z, so every mask of the bucket is 0 there and its rank is below n.
 
-The structures themselves (`enumerate_structures`) take their patterns from
-a mask-level elimination of the admitted buckets alone (`_witnesses`), whose
-masks come in ascending order; `search_tables` never runs it.  Each pivot is
-the first row nonzero in its column, so every prefix of the bucket holds as
-many pivots as its rank, which makes the pivots the lexicographically first
-basis, the first n masks whose augmented indicators are independent.
+One helper, `_bucket_pivots`, runs every bucket elimination through
+`_full_column_rank`, tallest bucket first.  The count test reads the pivot
+of column r - 1: an elimination keeps a matrix's pivots up to its first
+column without one, and the count columns past a bucket's r runs are zero.
+The structures (`enumerate_structures`) take their patterns from the same
+helper on the ascending 0/1 masks of the admitted buckets alone
+(`_witnesses`); `search_tables` never runs it.  Each pivot is the first row
+nonzero in its column, so every prefix of a bucket holds as many pivots as
+its rank: the pivots are the lexicographically first basis, the first n
+masks whose augmented indicators are independent.
 
 A brute-force oracle for n <= 6 (`brute_force_oracle`) enumerates supports
 directly and must reproduce the same record sets.  It shares nothing with the
@@ -104,9 +108,9 @@ ORACLE_CHUNK_SUPPORTS = 1 << 16
 # the largest error measured on these 0/1 matrices is 5e-15.
 ORACLE_ROUNDING_MARGIN = 1e-6
 # Most mask sums one search batch holds: k multisets of n values take k * 2^n,
-# 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call holds,
-# and the most rows of n parts the multiset expansion holds over all its layers
-# (one parent's children aside).
+# 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call of
+# `_bucket_pivots` holds (one bucket aside), and the most rows of n parts the
+# multiset expansion holds over all its layers (one parent's children aside).
 SEARCH_BATCH_SUMS = 1 << 16
 # Prime modulus of the batched rank test, and the largest n it is exact for.
 RANK_PRIME = 2 ** 31 - 1
@@ -421,7 +425,7 @@ def _scan_batch(
     count space (module docstring) on their canonical members, the masks
     whose bits in each run of equal parts form a prefix: (a) the members' bit
     changes inside the runs meet every run of two or more parts, and (b)
-    their count vectors, at least r of them, have rank r (`_full_count_rank`).
+    their count vectors, at least r of them, have rank r: pivot r - 1 is set.
     """
     n = values.shape[1]
     firsts, totals = values[:, 0, None], values.sum(axis=1, keepdims=True)
@@ -453,14 +457,14 @@ def _scan_batch(
     changes = np.bitwise_or.reduceat((masks ^ masks >> 1) & tied[owner], starts)
     own = tied[multiset]
     ok = (((own & ~changes) + (own & ~(own << 1))) & ~own) == 0
-    # (b): at least r count vectors, and rank r.  One run needs no more: its
-    # count is Z divided by the part, never 0.
+    # (b): at least r count vectors, and a pivot in column r - 1.  One run
+    # needs no more: its count is Z divided by the part, never 0.
     ok &= sizes >= runs[multiset]
     live = np.flatnonzero(ok & (runs[multiset] > 1))
     if len(live):
         r = runs[multiset[live]]
-        ok[live] = _full_count_rank(_run_counts(values, masks, owner, int(r.max())),
-                                    starts[live], sizes[live], r)
+        pivots = _bucket_pivots(_run_counts(values, masks, owner, int(r.max())), starts[live], sizes[live])
+        ok[live] = pivots[np.arange(len(live)), r - 1] >= 0
     admitted = tested[ok]
     rows = values.tolist()
     pairs = [(tuple(rows[k]), z) for k, z in zip(*(a.tolist() for a in np.divmod(admitted, width)))]
@@ -480,24 +484,6 @@ def _run_counts(values: np.ndarray, masks: np.ndarray, rows: np.ndarray, width: 
     return _popcount(masks[:, None] & runs_mask[rows, :width], values.shape[1])
 
 
-def _full_count_rank(counts: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
-                     runs: np.ndarray) -> np.ndarray:
-    """Per bucket b, whether rows starts[b] .. starts[b] + sizes[b] - 1 of
-    `counts` have rank runs[b], by `_full_column_rank` in calls of at most
-    SEARCH_BATCH_SUMS padded rows (or one bucket).  A bucket of r runs is
-    padded to all R columns of `counts` by the unit rows of columns r .. R-1,
-    which add R - r to its rank, and then by zero rows to the tallest."""
-    wide = counts.shape[1]
-    table = np.concatenate([counts, np.eye(wide, dtype=counts.dtype), np.zeros((1, wide), counts.dtype)])
-    size, start, units = sizes[:, None], starts[:, None], len(counts) + runs[:, None]
-    height = size + wide - runs[:, None]
-    t = np.arange(int(height.max()))
-    index = np.where(t < size, start + t, np.where(t < height, units - size + t, len(table) - 1))
-    step = max(1, SEARCH_BATCH_SUMS // len(t))
-    return np.concatenate([_full_column_rank(table[index[lo:lo + step]])[:, -1] >= 0
-                           for lo in range(0, len(index), step)])
-
-
 def _bucket_members(keys: np.ndarray, members: np.ndarray, buckets: np.ndarray,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The masks at `members`, indices into a batch's `keys`, bucket by
@@ -510,27 +496,34 @@ def _bucket_members(keys: np.ndarray, members: np.ndarray, buckets: np.ndarray,
     return order & (1 << n) - 1, owner, starts, np.searchsorted(owner, buckets, side="right") - starts
 
 
+def _bucket_pivots(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per bucket b, the `_full_column_rank` pivots of the nonempty row range
+    starts[b] .. starts[b] + sizes[b] - 1 of a (N, columns) array, counted
+    from starts[b].  Buckets go tallest first, in calls padded with zero rows
+    to their first bucket's height, of at most SEARCH_BATCH_SUMS padded rows
+    or one bucket."""
+    table = np.concatenate([rows, np.zeros((1, rows.shape[1]), rows.dtype)])  # then the zero row
+    pivots = np.empty((len(sizes), rows.shape[1]), dtype=np.intp)
+    order = np.argsort(-sizes)
+    lo = 0
+    while lo < len(order):
+        height = int(sizes[order[lo]])
+        pick = order[lo:lo + max(1, SEARCH_BATCH_SUMS // height)]
+        offsets = np.arange(height)
+        index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows))
+        pivots[pick] = _full_column_rank(table[index])
+        lo += len(pick)
+    return pivots
+
+
 def _witnesses(keys: np.ndarray, admitted: np.ndarray, n: int) -> np.ndarray:
     """Per admitted bucket of a `_scan_batch`, the masks its elimination
     picks as pivots, in column order: the lexicographically first basis
-    (module docstring).  The buckets' masks, ascending, go through
-    `_full_column_rank` by size class (padding below 2x), in calls of at
-    most SEARCH_BATCH_SUMS padded rows or one bucket."""
+    (module docstring) of the bucket's masks, ascending."""
     hit = np.zeros(int(keys.max()) + 1, dtype=bool)
     hit[admitted] = True
     masks, _, starts, sizes = _bucket_members(keys, np.flatnonzero(hit[keys]), admitted, n)
-    rows = np.append(masks, 0)  # then the zero row
-    pivots = np.empty((len(admitted), n), dtype=np.intp)
-    size_class = np.frexp(sizes)[1]  # sizes below 2^class
-    for cls in set(size_class.tolist()):
-        picked = np.flatnonzero(size_class == cls)
-        step = max(1, SEARCH_BATCH_SUMS >> cls)
-        for pick in (picked[lo:lo + step] for lo in range(0, len(picked), step)):
-            offsets = np.arange(sizes[pick].max())
-            index = np.where(offsets < sizes[pick, None], starts[pick, None] + offsets, len(rows) - 1)
-            pivots[pick] = _full_column_rank(_bits(rows[index], n))
-    # A bucket's pivots count from its start in `rows`; the zero row never pivots.
-    return rows[starts[:, None] + pivots]
+    return masks[starts[:, None] + _bucket_pivots(_bits(masks, n), starts, sizes)]
 
 
 def _scan_tasks(tasks: Sequence[tuple[int, int, int]]) -> tuple[set[SearchRecord], int, int]:
@@ -725,11 +718,14 @@ def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, .
     p holds, per g, 2^(masks-1-q) for the position q of g(mask p): a sorted
     tuple is smaller iff its bit sum is larger.  More than A_CLASS_WORK_LIMIT
     of C(masks, n) + |G| * masks raise before anything is built; the limit
-    keeps masks <= 62, so every sum fits a uint64.
+    keeps masks <= 62, so every sum fits a uint64.  G comes from runs of
+    adjacent equal parts, so the multiset must be nonincreasing and positive.
     """
     n = len(multiset)
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"A-classes are exact only up to n = {MAX_SEARCH_QUBITS}")
+    if any(c < 1 for c in multiset) or list(multiset) != sorted(multiset, reverse=True):
+        raise ValueError("multiset must be nonincreasing positive integers")
     pats = equal_sum_submultisets(multiset, z)
     keys = np.array(sorted(sum(1 << n - 1 - p for p in pat) for pat in pats), dtype=np.int64)
     runs = [list(g) for _, g in groupby(range(n), key=multiset.__getitem__)]

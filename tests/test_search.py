@@ -19,6 +19,7 @@ from conftest import (
     independent_selections,
     partitions_fixed_length,
     python_mask_sums,
+    rank_rational,
     reference_a_classes,
     reference_brute_force_oracle,
     reference_multisets,
@@ -447,10 +448,10 @@ class TestSearchTables:
         assert (search_tables(6, 24), list(enumerate_structures(6, 24))) == expected
 
     def test_rank_calls_fit_the_budget(self, monkeypatch):
-        # At n = 7 and 2^5 some size class of the structures' mask-level pass
-        # over one multiset holds more padded rows than one call may take, and
-        # at 2^3 so do the count-space buckets of one multiset; both are split,
-        # and the output is unchanged.
+        # At n = 7 and 2^5 the admitted buckets of the structures' mask-level
+        # pass over one multiset hold more padded rows than one call may take,
+        # and at 2^3 so do the count-space buckets of one multiset; both are
+        # split, and the output is unchanged.
         expected = search_tables(7, 28), list(enumerate_structures(7, 28))
         rank, scan, shapes, per_scan = search._full_column_rank, search._scan_batch, [], []
 
@@ -473,6 +474,21 @@ class TestSearchTables:
             assert (search_tables(7, 28), list(enumerate_structures(7, 28))) == expected
             assert all(buckets * rows <= budget or buckets == 1 for buckets, rows, _ in shapes)
         assert max(per_scan) > 1
+
+    def test_rank_profile_of_the_bench_job(self, monkeypatch):
+        # A ceiling on the rank kernel's work in the bench's `search --n 8
+        # --bound 32` job (19 calls of 25 688 padded rows in all), so padding
+        # that grows fails here, not only on the bench.
+        rank, shapes = search._full_column_rank, []
+
+        def recorded(mats):
+            shapes.append(mats.shape)
+            return rank(mats)
+
+        monkeypatch.setattr(search, "_full_column_rank", recorded)
+        search_tables(8, 32)
+        assert len(shapes) <= 19
+        assert sum(buckets * rows for buckets, rows, _ in shapes) <= 25702
 
     def test_structure_hash(self):
         # Byte identity of every structure the search derives, witnesses included.
@@ -541,6 +557,84 @@ def zero_one_buckets(draw):
         buckets.append([list(row) for row in zip(*cols)])
     height = max(len(b) for b in buckets) + draw(st.integers(0, 3))
     return n, buckets, height
+
+
+@st.composite
+def ragged_buckets(draw):
+    """Zero to six buckets of 1..12 rows over 1..6 columns of small integers,
+    with zero and repeated columns, stored in a shuffled order."""
+    width = draw(st.integers(1, 6))
+    buckets = []
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(1, 12))
+        cols = []
+        for j in range(width):
+            kind = draw(st.sampled_from(("random", "random", "zero", "copy")))
+            if kind == "zero":
+                cols.append([0] * m)
+            elif kind == "copy" and j:
+                cols.append(list(cols[draw(st.integers(0, j - 1))]))
+            else:
+                cols.append(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+        buckets.append([list(row) for row in zip(*cols)])
+    return width, buckets, draw(st.permutations(range(len(buckets))))
+
+
+def _stored(width, buckets, placement):
+    """The buckets' rows, stored in `placement` order, with each bucket's
+    start and size in its own order."""
+    rows, starts = [], [0] * len(buckets)
+    for b in placement:
+        starts[b] = len(rows)
+        rows += buckets[b]
+    return (np.array(rows, dtype=np.int32).reshape(-1, width), np.array(starts, dtype=np.intp),
+            np.array([len(bucket) for bucket in buckets], dtype=np.intp))
+
+
+class TestBucketPivots:
+    @pytest.mark.parametrize("budget", [search.SEARCH_BATCH_SUMS, 2 ** 3])
+    @settings(max_examples=100, deadline=None)
+    @given(case=ragged_buckets())
+    def test_matches_each_bucket_alone(self, budget, case):
+        # At the default budget all buckets share one call; at 2^3 a bucket
+        # of 9..12 rows takes a call of its own.
+        width, buckets, placement = case
+        rank, shapes = search._full_column_rank, []
+
+        def recorded(mats):
+            shapes.append(mats.shape)
+            return rank(mats)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "SEARCH_BATCH_SUMS", budget)
+            patch.setattr(search, "_full_column_rank", recorded)
+            got = search._bucket_pivots(*_stored(width, buckets, placement))
+        assert got.shape == (len(buckets), width)
+        for pivots, bucket in zip(got.tolist(), buckets):
+            assert pivots == rank(np.array([bucket])).tolist()[0]
+        assert sum(calls for calls, _, _ in shapes) == len(buckets)
+        assert all(calls * rows <= budget or calls == 1 for calls, rows, _ in shapes)
+        heights = [rows for _, rows, _ in shapes]
+        assert heights == sorted(heights, reverse=True)  # tallest first
+        if budget == search.SEARCH_BATCH_SUMS:
+            assert heights == ([max(map(len, buckets))] if buckets else [])
+
+    def test_no_buckets(self):
+        none = np.zeros(0, dtype=np.intp)
+        for rows in (np.zeros((0, 4), dtype=np.int32), np.ones((3, 4), dtype=np.int32)):
+            assert search._bucket_pivots(rows, none, none).shape == (0, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_buckets(), st.data())
+    def test_count_rank_reads_pivot_r_minus_one(self, case, data):
+        # Count-like buckets, every column past a bucket's r zero: pivot
+        # r - 1 is set iff the exact rank is r.
+        width, buckets, placement = case
+        runs = [data.draw(st.integers(1, width)) for _ in buckets]
+        buckets = [[row[:r] + [0] * (width - r) for row in bucket] for bucket, r in zip(buckets, runs)]
+        pivots = search._bucket_pivots(*_stored(width, buckets, placement))
+        for row, bucket, r in zip(pivots.tolist(), buckets, runs):
+            assert (row[r - 1] >= 0) == (rank_rational(bucket) == r)
 
 
 class TestBatchedRankTest:
@@ -835,6 +929,15 @@ class TestAClasses:
         monkeypatch.setattr(search, "A_CLASS_WORK_LIMIT", 1451)
         with pytest.raises(ValueError, match="= 1452 exceeds A_CLASS_WORK_LIMIT = 1451"):
             a_class_matrices((1,) * 5, 2)
+
+    @pytest.mark.parametrize("multiset, z", [((1, 1, 1, 2, 1, 1), 2), ((1, 1, 2), 2), ((0, 1, 1), 1)])
+    def test_unsorted_or_nonpositive_multiset_refused(self, multiset, z):
+        # G comes from runs of adjacent equal parts, so an unsorted multiset
+        # would split a run: (1, 1, 1, 2, 1, 1) would give 20 classes where
+        # (2, 1, 1, 1, 1, 1) has 4.  A part 0 is no part at all.
+        with pytest.raises(ValueError, match="multiset must be nonincreasing positive integers"):
+            a_class_matrices(multiset, z)
+        assert len(a_class_matrices((2, 1, 1, 1, 1, 1), 2)) == 4
 
     def test_matches_greedy_per_selection(self, search_results):
         # Checks the reference's raw selections: each independent one, as
