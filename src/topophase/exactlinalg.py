@@ -6,9 +6,10 @@ here:
 - `_reduce`, integer row reduction carrying a unimodular transform.
   `kernel_lattice` reads the left kernel from the transform, as a basis of
   the full integer lattice; `determinant` is the transform's sign times the
-  echelon diagonal; `solve_rational` back-substitutes over the pivot rows;
-  `solve_integer` reduces the transpose and forward-substitutes over its
-  pivot rows.
+  echelon diagonal; `solve_rational` back-substitutes over the pivot rows
+  in integers over one common denominator and builds one Fraction per
+  nonzero unknown; `solve_integer` reduces the transpose and
+  forward-substitutes over its pivot rows.
 - `convex_feasible`, a phase-1 simplex with Bland's rule on an integer
   tableau over one common denominator ``D`` (Edmonds' integer-preserving
   pivot, as in Bareiss' elimination).  Each pivot divides every non-pivot
@@ -141,24 +142,43 @@ def solve_rational(
     Returns ``(particular_solution, num_free)`` with free variables set to
     zero and ``num_free = cols - rank(M)``, or None when inconsistent.  The
     echelon form of ``[M*den | num]`` is back-substituted over its pivot
-    rows; every echelon form has the same pivot columns, and the solution
-    with the other variables at zero is unique.
+    rows in integers: the unknowns solved so far are numerators ``N[c]``
+    over one common denominator ``D``, so a pivot row with pivot ``p`` at
+    column ``col`` gives ``x[col] = t / (p * D)`` with ``t = rhs * D - sum
+    row[c] * N[c]`` over the nonzero ``N[c]``.  With ``t`` and ``p`` reduced
+    by their gcd and ``p > 0``, ``N[col] = t``, and ``D`` and every other
+    ``N[c]`` are multiplied by ``p``.  One Fraction is built per nonzero
+    unknown at the end.  Every echelon form has the same pivot columns, and
+    the solution with the other variables at zero is unique.
     """
     mat = _copy_rows(rows)
     m = len(mat)
     if len(rhs) != m:
         raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
     ncols = len(mat[0]) if m else 0
-    augmented = [
-        [x * b.denominator for x in row] + [b.numerator] for row, b in zip(mat, map(Fraction, rhs))
-    ]
+    augmented = []
+    for row, b in zip(mat, map(Fraction, rhs)):
+        scale = b.denominator
+        augmented.append([x * scale for x in row] + [b.numerator])
     h, _, rank, _ = _reduce(augmented)
-    x = [Fraction(0)] * ncols
+    den, nums = 1, {}
     for row in reversed(h[:rank]):
         col = next(c for c, v in enumerate(row) if v)
         if col == ncols:
             return None  # the pivot row reads 0 = nonzero
-        x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in range(col + 1, ncols)), row[col])
+        t = row[ncols] * den - sum(row[c] * v for c, v in nums.items())
+        if t:
+            p = row[col]
+            g = gcd(t, p) if p > 0 else -gcd(t, p)
+            t, p = t // g, p // g
+            if p != 1:
+                den *= p
+                for c in nums:
+                    nums[c] *= p
+            nums[col] = t
+    x = [Fraction(0)] * ncols
+    for c, v in nums.items():
+        x[c] = Fraction(v, den)
     return tuple(x), ncols - rank
 
 

@@ -67,12 +67,22 @@ def antidiagonal_stabilizer(deltas: Sequence[float]) -> list[np.ndarray]:
 
 
 def assert_special_unitary(unitaries: Sequence[np.ndarray], tol: float = SU2_TOLERANCE) -> None:
+    """Raise ValueError unless every operator is a 2x2 matrix in SU(2) to `tol`.
+
+    Each operator ``[[a, b], [c, d]]`` is checked in closed form, in Python
+    complex arithmetic: every entry of ``u^H u - I`` and then ``ad - bc - 1``
+    must have modulus at most `tol`.  Each test reads ``not (err <= tol)``, so
+    an operator with a NaN or infinite entry is refused, as not unitary.
+    """
     for k, u in enumerate(unitaries):
         if u.shape != (2, 2):
             raise ValueError(f"operator {k} is not 2x2")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+        (a, b), (c, d) = u.tolist()
+        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        gram = (ac * a + cc * c - 1, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1)
+        if not all(abs(e) <= tol for e in gram):
             raise ValueError(f"operator {k} is not unitary to {tol}")
-        if abs(np.linalg.det(u) - 1) > tol:
+        if not abs(a * d - b * c - 1) <= tol:
             raise ValueError(f"operator {k} has determinant != 1")
 
 

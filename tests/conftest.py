@@ -11,7 +11,7 @@ import pytest
 
 from topophase import balance, search
 from topophase.exactlinalg import kernel_lattice
-from topophase.stabilizers import apply_local_unitaries
+from topophase.stabilizers import SU2_TOLERANCE, apply_local_unitaries
 from topophase.states import PRODUCT_RANK_TOLERANCE, SparseState, support_state, weight_matrix
 
 
@@ -210,6 +210,20 @@ def random_su2(rng):
     q = rng.normal(size=4)
     a, b, c, d = q / np.linalg.norm(q)
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+def reference_assert_special_unitary(unitaries, tol=SU2_TOLERANCE):
+    """Reference for `stabilizers.assert_special_unitary`: the numpy
+    formulation, with a matmul, an identity and a LAPACK determinant per
+    operator.  Its ``> tol`` tests are False for NaN, so unlike the closed
+    form it accepts a non-finite operator; compare the two on finite ones."""
+    for k, u in enumerate(unitaries):
+        if u.shape != (2, 2):
+            raise ValueError(f"operator {k} is not 2x2")
+        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+            raise ValueError(f"operator {k} is not unitary to {tol}")
+        if abs(np.linalg.det(u) - 1) > tol:
+            raise ValueError(f"operator {k} has determinant != 1")
 
 
 def dense_verify(state, unitaries):

@@ -169,6 +169,56 @@ class TestSolveRational:
             assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
         assert free == n - rank_rational(rows)
 
+    # A stabilizer system: +-1 rows beside the -1 column of chi.  `_reduce`
+    # takes ``[M | b]`` to pivots -1, 2, 2, 2, -2 and 10, so back-substitution
+    # grows the common denominator over five non-unit pivots.
+    STABILIZER_ROWS = [
+        (-1, -1, 1, 1, 1, -1, -1),
+        (-1, 1, 1, -1, 1, 1, -1),
+        (1, -1, 1, 1, 1, 1, -1),
+        (1, 1, -1, 1, 1, -1, -1),
+        (-1, -1, -1, -1, 1, 1, -1),
+        (-1, 1, -1, 1, -1, 1, -1),
+    ]
+
+    def test_common_denominator_over_many_pivots(self):
+        rows, rhs = self.STABILIZER_ROWS, [2, 1, 1, 1, 1, 1]
+        h, _, rank, _ = exactlinalg._reduce([list(r) + [b] for r, b in zip(rows, rhs)])
+        pivots = [next(v for v in row if v) for row in h[:rank]]
+        assert sum(abs(p) != 1 for p in pivots) >= 3
+        expected = (tuple(Fraction(v, 10) for v in (-7, 1, -1, 8, 9, 2, 0)), 1)
+        assert solve_rational(rows, rhs) == echelon_solve(rows, rhs) == expected
+        thirds = [Fraction(b, 3) for b in rhs]
+        assert solve_rational(rows, thirds) == echelon_solve(rows, thirds)
+        # Row 0 again, with another right-hand side.
+        assert solve_rational(rows + rows[:1], rhs + [3]) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 9), st.integers(3, 23)).flatmap(
+            lambda mn: st.lists(
+                st.lists(st.sampled_from((1, -1)), min_size=mn[1], max_size=mn[1])
+                .map(lambda row: (*row, -1)),
+                min_size=mn[0],
+                max_size=mn[0],
+            )
+        ),
+        st.data(),
+    )
+    def test_stabilizer_systems(self, rows, data):
+        # 2-9 rows and 4-24 columns, the sizes `solve_stabilizer` meets, with
+        # an integer or a fractional right-hand side.
+        entries = data.draw(st.sampled_from((
+            st.integers(-6, 6),
+            st.fractions(-6, 6, max_denominator=12),
+        )))
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        sol = solve_rational(rows, rhs)
+        assert sol == echelon_solve(rows, rhs)
+        if sol is not None:
+            for row, b in zip(rows, rhs):
+                assert sum(a * v for a, v in zip(row, sol[0])) == b
+
 
 class TestSolveInteger:
     def test_rational_but_not_integer(self):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIVE_QUBIT_MAXLEN_PI4,
@@ -12,6 +14,7 @@ from conftest import (
     SEVEN_QUBIT_PI18,
     dense_verify,
     random_su2,
+    reference_assert_special_unitary,
     telescoped,
     tensor_product,
 )
@@ -19,6 +22,7 @@ from topophase import stabilizers
 from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
     FAMILY_NAMES,
+    SU2_TOLERANCE,
     antidiagonal_stabilizer,
     apply_local_unitaries,
     assert_special_unitary,
@@ -36,6 +40,7 @@ from topophase.states import (
 )
 
 TOL = 1e-9
+LOG_TOL = math.log10(SU2_TOLERANCE)
 
 
 def angles_close(a, b, tol=TOL):
@@ -65,6 +70,65 @@ class TestOperators:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             assert_special_unitary([np.array([[1.0, 0.0], [0.0, 2.0]])])
+
+    def test_determinant_minus_one_rejected(self):
+        # Pauli X is unitary, with determinant -1.
+        with pytest.raises(ValueError, match="operator 1 has determinant"):
+            assert_special_unitary([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+
+    def test_not_2x2_rejected(self):
+        with pytest.raises(ValueError, match="operator 0 is not 2x2"):
+            assert_special_unitary([np.eye(3)])
+
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, math.nan]],
+        [[1.0, 0.0], [0.0, math.nan]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ])
+    def test_non_finite_rejected(self, entries):
+        u = np.array(entries, dtype=complex)
+        with pytest.raises(ValueError, match="operator 0 is not unitary"):
+            assert_special_unitary([u])
+        with pytest.raises(ValueError, match="not unitary"):
+            verify(ghz_state(3), [u] * 3, TOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(("su2", "phase", "scale", "shear")),
+            st.sampled_from((1, -1)),
+            # log10 of the defect: below SU2_TOLERANCE / 10 (the scale's
+            # defect is about twice its size), or above 10 * SU2_TOLERANCE.
+            st.one_of(st.floats(LOG_TOL - 4, LOG_TOL - 1.5), st.floats(LOG_TOL + 1, -1)),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    def test_matches_numpy_reference(self, draws):
+        # A Haar-random SU(2), alone, times a phase e^{i theta / 2} (a U(2)
+        # with determinant e^{i theta}), a scale 1 + eps, or a shear
+        # [[1, eps], [0, 1]] (determinant 1, columns not orthogonal); both
+        # refuse or accept the same list, with the same message.
+        ops = []
+        for seed, kind, sign, exponent in draws:
+            u = random_su2(np.random.default_rng(seed))
+            size = sign * 10.0 ** exponent
+            if kind == "phase":
+                u = u * cmath.exp(0.5j * size)
+            elif kind == "scale":
+                u = u * (1 + size)
+            elif kind == "shear":
+                u = u @ np.array([[1.0, size], [0.0, 1.0]])
+            ops.append(u)
+        try:
+            reference_assert_special_unitary(ops)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                assert_special_unitary(ops)
+            assert str(caught.value) == str(exc)
+        else:
+            assert_special_unitary(ops)
 
 
 class TestVerify:
