@@ -144,7 +144,19 @@ def affine_certificate(w: WeightMatrix) -> Optional[KernelCertificate]:
 
 
 def convex_certificate(w: WeightMatrix) -> Optional[KernelCertificate]:
-    """Positive integer dependence witnessing 0 in the convex hull of rows."""
+    """Positive integer dependence witnessing 0 in the convex hull of rows.
+
+    Convex weights lie in the rational left kernel, so the cached kernel
+    basis decides dimensions 0 and 1 without the simplex: with no kernel
+    vector there are none, and with one primitive vector c (first nonzero
+    entry positive) the only candidate is c / sum(c), feasible iff
+    min(c) >= 0, whose certificate is c itself.  The simplex runs only on
+    kernels of dimension 2 or more.
+    """
+    if len(w.kernel) <= 1:
+        if w.kernel and min(w.kernel[0]) >= 0:
+            return KernelCertificate(w.kernel[0], "convex")
+        return None
     lam = convex_feasible(w.rows)
     if lam is None:
         return None

@@ -16,7 +16,9 @@ here:
   row by the previous ``D`` exactly; the division is checked with
   ``divmod`` and a remainder raises ArithmeticError.  The ratio test
   compares cross-products, so no fraction is formed until the weights are
-  returned.
+  returned.  `balance.convex_certificate` calls it only on kernels of
+  dimension 2 or more: convex weights lie in the rational left kernel, so
+  dimension 0 has none and dimension 1 has the one candidate c / sum(c).
 
 The third is the search's rank test, `search._full_column_rank`, which
 eliminates modulo a prime in numpy.  One bucket helper, `search._bucket_pivots`,
@@ -26,8 +28,8 @@ search, and the 0/1 masks of the admitted buckets alone, whose pivot rows are
 selections.
 
 Everything is arbitrary precision; no floating point anywhere.  Matrices are
-passed around as sequences of equal-length integer rows; all operations are
-pure and never mutate their arguments.
+passed around as sequences of equal-length integer rows; the public
+operations are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -63,8 +65,11 @@ def make_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce(rows: IntRows) -> tuple[list[list[int]], list[list[int]], int, int]:
-    """Integer row echelon form ``h = u M`` with ``u`` unimodular.
+def _reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int, int]:
+    """Integer row echelon form ``h = u M`` with ``u`` unimodular, in place.
+
+    ``h`` holds the rows of M as int lists of equal length that the caller
+    owns; each caller builds them in one validating pass.
 
     Column by column, the rows below the pivots found so far are reduced by
     ``row -= q * pivot`` against the one with the smallest nonzero entry
@@ -73,7 +78,6 @@ def _reduce(rows: IntRows) -> tuple[list[list[int]], list[list[int]], int, int]:
     sign)``: rows ``rank:`` of ``h`` are zero and ``sign = det u`` flips on
     every swap of two distinct rows.
     """
-    h = _copy_rows(rows)
     m = len(h)
     ncols = len(h[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -117,7 +121,7 @@ def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
     sublattice) and every basis vector is primitive.  Empty list when M has
     full row rank.
     """
-    _, u, rank, _ = _reduce(rows)
+    _, u, rank, _ = _reduce(_copy_rows(rows))
     return [make_primitive(vec) for vec in u[rank:]]
 
 
@@ -126,7 +130,7 @@ def determinant(rows: IntRows) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    h, _, rank, det = _reduce(rows)
+    h, _, rank, det = _reduce(_copy_rows(rows))
     if rank < n:
         return 0
     for i in range(n):
@@ -151,15 +155,18 @@ def solve_rational(
     unknown at the end.  Every echelon form has the same pivot columns, and
     the solution with the other variables at zero is unique.
     """
-    mat = _copy_rows(rows)
-    m = len(mat)
+    m = len(rows)
     if len(rhs) != m:
         raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
-    ncols = len(mat[0]) if m else 0
+    ncols = len(rows[0]) if m else 0
     augmented = []
-    for row, b in zip(mat, map(Fraction, rhs)):
+    for i, (row, b) in enumerate(zip(rows, map(Fraction, rhs))):
         scale = b.denominator
-        augmented.append([x * scale for x in row] + [b.numerator])
+        aug = [int(x) * scale for x in row]
+        if len(aug) != ncols:
+            raise ValueError(f"ragged matrix: row {i} has length {len(aug)}, expected {ncols}")
+        aug.append(b.numerator)
+        augmented.append(aug)
     h, _, rank, _ = _reduce(augmented)
     den, nums = 1, {}
     for row in reversed(h[:rank]):

@@ -138,6 +138,52 @@ class TestCertificates:
             w = wm(state)
             assert (affine_certificate(w) is not None) == (phase_set(w).d != 0)
 
+    def test_kernel_read_dimension_one_mixed_signs(self):
+        # One kernel vector with entries of both signs: c / sum(c) is the
+        # only candidate and it has a negative weight.
+        w = wm(zeros_plus_w_state(3))
+        assert len(w.kernel) == 1 and min(w.kernel[0]) < 0 < max(w.kernel[0])
+        assert convex_certificate(w) is None
+
+    def test_kernel_read_dimension_one_keeps_zeros(self):
+        # The antipodal pair carries the only dependence; the third row is
+        # outside the support and keeps its zero coefficient.
+        w = wm(support_state(3, ["000", "111", "001"]))
+        assert w.kernel == ((1, 1, 0),)
+        cert = convex_certificate(w)
+        assert cert.coefficients == (1, 1, 0) and cert.kind == "convex"
+
+    def test_kernel_read_full_row_rank(self):
+        w = wm(w_state(3))
+        assert w.kernel == ()
+        assert convex_certificate(w) is None
+
+    def test_kernel_read_matches_simplex(self):
+        # Differential check of the kernel read against the simplex alone:
+        # convex weights, scaled by the lcm of their denominators and made
+        # primitive, on random +-1 supports of every kernel dimension.
+        from topophase.exactlinalg import convex_feasible, make_primitive
+
+        def simplex_certificate(w):
+            lam = convex_feasible(w.rows)
+            if lam is None:
+                return None
+            scale = lcm(*[f.denominator for f in lam])
+            return make_primitive([int(f * scale) for f in lam])
+
+        rng = random.Random(2510)
+        seen = {}
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            m = rng.randint(1, min(2 ** n, 16))
+            w = wm(support_state(n, [format(s, f"0{n}b") for s in rng.sample(range(2 ** n), m)]))
+            cert = convex_certificate(w)
+            assert (cert and cert.coefficients) == simplex_certificate(w), w.rows
+            key = (min(len(w.kernel), 2), cert is not None)
+            seen[key] = seen.get(key, 0) + 1
+        assert sorted(seen) == [(0, False), (1, False), (1, True), (2, False), (2, True)]
+        assert min(seen.values()) >= 10, seen
+
     def test_convex_implies_affine(self):
         rng = random.Random(777)
         for _ in range(150):
@@ -504,30 +550,44 @@ class TestAnalysisReport:
         assert rep["flags"]["a_state"] is True
         assert rep["irreducible"] is False
 
-    def test_one_kernel_per_report(self, monkeypatch):
+    @staticmethod
+    def counted_report(monkeypatch, state):
         # Wrap the functions in every module that imported them by name, as
         # the benchmark's tracer does: kernels of the full rows, and any
-        # determinant, are counted.
+        # determinant or simplex, are counted.
         import topophase
 
-        state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
         full_rows = wm(state).rows
-        calls = {"kernel_lattice": 0, "determinant": 0}
+        calls = {"kernel_lattice": 0, "determinant": 0, "convex_feasible": 0}
         modules = [mod for mod in vars(topophase).values() if isinstance(mod, ModuleType)]
         for name in calls:
             original = getattr(topophase.exactlinalg, name)
 
             def counted(rows, _name=name, _original=original):
-                if _name == "determinant" or tuple(map(tuple, rows)) == full_rows:
+                if _name != "kernel_lattice" or tuple(map(tuple, rows)) == full_rows:
                     calls[_name] += 1
                 return _original(rows)
 
             for mod in modules:
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
-        rep = analysis_report(state)
-        assert rep["maximal_length"] is True
-        assert calls == {"kernel_lattice": 1, "determinant": 0}
+        return analysis_report(state), calls
+
+    def test_one_kernel_per_report(self, monkeypatch):
+        # A kernel of dimension 1 also decides the convex certificate,
+        # without the simplex.
+        state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
+        assert len(wm(state).kernel) == 1
+        rep, calls = self.counted_report(monkeypatch, state)
+        assert rep["maximal_length"] is True and rep["certificate_kind"] == "convex"
+        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 0}
+
+    def test_one_simplex_on_a_wider_kernel(self, monkeypatch):
+        state = support_state(5, FIVE_QUBIT_PRINTED_THIRD)
+        assert len(wm(state).kernel) == 2
+        rep, calls = self.counted_report(monkeypatch, state)
+        assert rep["certificate_kind"] == "convex"
+        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 1}
 
     def test_no_bipartition_scan(self, monkeypatch):
         # A 2^(n-1) split scan would not finish on either state; the
