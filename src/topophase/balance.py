@@ -82,10 +82,6 @@ class KernelCertificate:
     def total(self) -> int:
         return sum(self.coefficients)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coefficients) if c)
-
 
 @dataclass(frozen=True)
 class StabilizerSolution:

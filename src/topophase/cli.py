@@ -274,7 +274,6 @@ def cmd_verify(args) -> int:
     if args.winding is not None and not args.derive:
         raise ParseFailure("--winding applies only with --derive")
     state = _load_state(args.state)
-    tol = args.tolerance
 
     if args.derive:
         w = states.weight_matrix(state)
@@ -297,7 +296,7 @@ def cmd_verify(args) -> int:
 
         def judge(result):  # the numeric chi must agree with the exact one
             off = stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)
-            return solution.chi, abs(off) <= tol
+            return solution.chi, abs(off) <= stabilizers.DEFAULT_TOLERANCE
     else:
         flag, text, build, factor = (
             ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
@@ -311,10 +310,11 @@ def cmd_verify(args) -> int:
 
         def judge(result):  # the numeric chi snapped to the lcm bound, if it lies that close
             frac = Fraction(result.chi / math.pi).limit_denominator(bound) if result.matched else None
-            near = frac is not None and abs(float(frac) * math.pi - result.chi) <= max(tol, 1e-12)
+            near = (frac is not None
+                    and abs(float(frac) * math.pi - result.chi) <= stabilizers.DEFAULT_TOLERANCE)
             return (frac if near else None), True
 
-    result = stabilizers.verify(state, build(_radians(angles)), tol)
+    result = stabilizers.verify(state, build(_radians(angles)))
     chi, agrees = judge(result)
     doc = {"matched": result.matched, "chi": _frac_json(chi) if chi is not None else None,
            "residual": result.residual, **extra}
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--winding", help="comma-separated winding integers (with --derive)")
     p.add_argument("--phis", help="comma-separated rational angles in pi units (diagonal)")
     p.add_argument("--antidiag", help="comma-separated rational angles in pi units (antidiagonal)")
-    p.add_argument("--tolerance", type=float, default=stabilizers.DEFAULT_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

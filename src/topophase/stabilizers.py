@@ -1,9 +1,11 @@
 """Numerical verification of stabilizer eigenphase relations.
 
-Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to a
-tolerance.  A monomial operator (every factor diagonal or antidiagonal, as the
-CLI and `known_family` build) is applied term by term in O(n*m), any other to
-the dense 2^n vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
+Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to
+DEFAULT_TOLERANCE, each operator first in SU(2) to SU2_TOLERANCE; both
+bounds are fixed, since the residual measures float rounding only.  A
+monomial operator (every factor diagonal or antidiagonal, as the CLI and
+`known_family` build) is applied term by term in O(n*m), any other to the
+dense 2^n vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
 throughout: |1> is the +1 eigenvector of a diagonal stabilizer, carrying
 e^{+i phi}; this matches the weight-matrix convention bit 1 -> +1, so the
 exact rational solutions produced by the balance analysis verify directly.
@@ -66,13 +68,15 @@ def antidiagonal_stabilizer(deltas: Sequence[float]) -> list[np.ndarray]:
     ]
 
 
-def assert_special_unitary(unitaries: Sequence[np.ndarray], tol: float = SU2_TOLERANCE) -> None:
-    """Raise ValueError unless every operator is a 2x2 matrix in SU(2) to `tol`.
+def assert_special_unitary(unitaries: Sequence[np.ndarray]) -> None:
+    """Raise ValueError unless every operator is a 2x2 matrix in SU(2) to
+    SU2_TOLERANCE.
 
     Each operator ``[[a, b], [c, d]]`` is checked in closed form, in Python
     complex arithmetic: every entry of ``u^H u - I`` and then ``ad - bc - 1``
-    must have modulus at most `tol`.  Each test reads ``not (err <= tol)``, so
-    an operator with a NaN or infinite entry is refused, as not unitary.
+    must have modulus at most SU2_TOLERANCE.  Each test reads
+    ``not (err <= SU2_TOLERANCE)``, so an operator with a NaN or infinite
+    entry is refused, as not unitary.
     """
     for k, u in enumerate(unitaries):
         if u.shape != (2, 2):
@@ -80,9 +84,9 @@ def assert_special_unitary(unitaries: Sequence[np.ndarray], tol: float = SU2_TOL
         (a, b), (c, d) = u.tolist()
         ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
         gram = (ac * a + cc * c - 1, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1)
-        if not all(abs(e) <= tol for e in gram):
-            raise ValueError(f"operator {k} is not unitary to {tol}")
-        if not abs(a * d - b * c - 1) <= tol:
+        if not all(abs(e) <= SU2_TOLERANCE for e in gram):
+            raise ValueError(f"operator {k} is not unitary to {SU2_TOLERANCE}")
+        if not abs(a * d - b * c - 1) <= SU2_TOLERANCE:
             raise ValueError(f"operator {k} has determinant != 1")
 
 
@@ -118,26 +122,20 @@ def _apply_monomial(terms, unitaries):
                  for side in (inputs, outputs))
 
 
-def verify(
-    state: SparseState,
-    unitaries: Sequence[np.ndarray],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationResult:
+def verify(state: SparseState, unitaries: Sequence[np.ndarray]) -> VerificationResult:
     """Check U|psi> = e^{i chi}|psi>: term by term for a monomial U, else by
     dense tensor contraction, up to MAX_DENSE_QUBITS qubits.
 
     chi is extracted from the amplitude ratio at the largest-magnitude input
     amplitude (ties to the smallest dense index), and is 0.0, with no match,
     where U|psi> vanishes there.  The residual max|U psi - e^{i chi} psi|,
-    over the union of both supports, is checked after every amplitude is
-    divided by the largest real or imaginary part (as in
+    over the union of both supports, must be at most DEFAULT_TOLERANCE after
+    every amplitude is divided by the largest real or imaginary part (as in
     `states.product_factors`), so the result does not depend on the input's
     global phase or normalization and nothing overflows.
     """
     if len(unitaries) != state.n:
         raise ValueError(f"need {state.n} local operators, got {len(unitaries)}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     assert_special_unitary(unitaries)
     # Scale the m terms: dividing the dense vector would write all 2^n entries.
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
@@ -152,7 +150,7 @@ def verify(
     anchor = int(np.argmax(np.abs(vec)))
     chi = wrap_angle(cmath.phase(out[anchor] / vec[anchor])) if out[anchor] else 0.0
     residual = float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))
-    return VerificationResult(residual <= tolerance, chi, residual)
+    return VerificationResult(residual <= DEFAULT_TOLERANCE, chi, residual)
 
 
 def known_family(name: str, n: int, **params):

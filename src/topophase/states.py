@@ -215,12 +215,12 @@ def product_factors(state: SparseState) -> tuple[tuple[int, ...], ...]:
         (int(bits, 2), complex(amp.real / scale, amp.imag / scale))
         for bits, amp in state.terms
     ]
-    tol = PRODUCT_RANK_TOLERANCE * sum(abs(amp) ** 2 for _, amp in terms)
+    cutoff = PRODUCT_RANK_TOLERANCE * sum(abs(amp) ** 2 for _, amp in terms)
     label = list(range(n))  # qubit -> block, merged by relabelling
     for i in range(n):
         for j in range(i + 1, n):
             if label[i] != label[j] and _coupled(
-                terms, 1 << (n - 1 - i), 1 << (n - 1 - j), tol
+                terms, 1 << (n - 1 - i), 1 << (n - 1 - j), cutoff
             ):
                 old = label[j]
                 label = [label[i] if x == old else x for x in label]
@@ -229,8 +229,8 @@ def product_factors(state: SparseState) -> tuple[tuple[int, ...], ...]:
     ))
 
 
-def _coupled(terms, bit_i: int, bit_j: int, tol: float) -> bool:
-    """Whether AD - BC has a coefficient above `tol` (see product_factors).
+def _coupled(terms, bit_i: int, bit_j: int, cutoff: float) -> bool:
+    """Whether AD - BC has a coefficient above `cutoff` (see product_factors).
 
     Terms are (bitstring as int, amplitude); A, B, C, D are keyed by the
     remaining bits, and the monomial of two keys s, t, with exponents
@@ -247,7 +247,7 @@ def _coupled(terms, bit_i: int, bit_j: int, tol: float) -> bool:
             for t, y in right.items():
                 key = (s & t, s ^ t)
                 coef[key] = coef.get(key, 0) + sign * x * y
-    return any(abs(v) > tol for v in coef.values())
+    return any(abs(v) > cutoff for v in coef.values())
 
 
 def bipartition_product_check(state: SparseState, subset: Iterable[int]) -> bool:

@@ -212,17 +212,18 @@ def random_su2(rng):
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
-def reference_assert_special_unitary(unitaries, tol=SU2_TOLERANCE):
+def reference_assert_special_unitary(unitaries):
     """Reference for `stabilizers.assert_special_unitary`: the numpy
     formulation, with a matmul, an identity and a LAPACK determinant per
-    operator.  Its ``> tol`` tests are False for NaN, so unlike the closed
-    form it accepts a non-finite operator; compare the two on finite ones."""
+    operator.  Its ``> SU2_TOLERANCE`` tests are False for NaN, so unlike
+    the closed form it accepts a non-finite operator; compare the two on
+    finite ones."""
     for k, u in enumerate(unitaries):
         if u.shape != (2, 2):
             raise ValueError(f"operator {k} is not 2x2")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
-            raise ValueError(f"operator {k} is not unitary to {tol}")
-        if abs(np.linalg.det(u) - 1) > tol:
+        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > SU2_TOLERANCE:
+            raise ValueError(f"operator {k} is not unitary to {SU2_TOLERANCE}")
+        if abs(np.linalg.det(u) - 1) > SU2_TOLERANCE:
             raise ValueError(f"operator {k} has determinant != 1")
 
 

@@ -31,7 +31,7 @@ from topophase.states import (
     weight_matrix,
 )
 
-TOL = 1e-9
+TOL = stabilizers.DEFAULT_TOLERANCE
 
 TABLE_I = {
     2: {1},
@@ -166,7 +166,7 @@ def prove_genuine(record, support):
     solution = balance.solve_stabilizer(w, winding)
     assert solution.chi == Fraction(1, denominator)
     ops = stabilizers.diagonal_stabilizer([float(f) * math.pi for f in solution.phis])
-    res = stabilizers.verify(state, ops, TOL)
+    res = stabilizers.verify(state, ops)
     assert res.matched, res
     assert abs(stabilizers.wrap_angle(res.chi - math.pi / denominator)) <= TOL
 
@@ -253,7 +253,7 @@ def test_criterion_5_worked_families():
         rng = random.Random(20240301)
 
         def check(state, ops, chi):
-            res = stabilizers.verify(state, ops, TOL)
+            res = stabilizers.verify(state, ops)
             assert res.matched and res.residual <= TOL
             assert abs(stabilizers.wrap_angle(res.chi - chi)) <= TOL
             return res.chi

@@ -265,6 +265,18 @@ class TestConfiguration:
         assert capsys.readouterr().err.startswith("usage: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_tolerance_flag_is_gone(self, ghz3_file, tmp_path, capsys):
+        # The residual measures float rounding only: the bound is the fixed
+        # stabilizers.DEFAULT_TOLERANCE.
+        out = tmp_path / "verify.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ghz3_file, "--derive", "--tolerance", "1e-9", "--out", str(out)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["ghz3.json"]
+
     def test_settable_value_count(self):
         # Every positional and option string of every subcommand, --help aside.
         (commands,) = [action for action in build_parser()._actions
@@ -272,7 +284,11 @@ class TestConfiguration:
         names = [name for sub in commands.choices.values() for action in sub._actions
                  if not isinstance(action, argparse._HelpAction)
                  for name in action.option_strings or [action.dest]]
-        assert len(names) == 18
+        assert sorted(names) == [
+            "--a-classes", "--antidiag", "--bound", "--derive", "--n", "--n",
+            "--out", "--out", "--out", "--out", "--phis", "--winding",
+            "--workers", "--workers", "state", "state", "structure",
+        ]
 
 
 class TestSearch:
@@ -516,7 +532,7 @@ class TestVerify:
             assert main(["verify", str(path), "--derive"]) == 0
             out = capsys.readouterr().out
             doc = json.loads(out)
-            assert doc["matched"] and doc["residual"] <= 1e-9
+            assert doc["matched"] and doc["residual"] <= stabilizers.DEFAULT_TOLERANCE
             assert doc["free_parameters"] == 3
             digest.update(re.sub(r'"residual": [^,]*,', '"residual": R,', out).encode())
         assert digest.hexdigest() == (
@@ -527,7 +543,7 @@ class TestVerify:
         assert main(["verify", ghz3_file, "--derive"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["matched"] and doc["chi"] == {"num": 1, "den": 1}
-        assert doc["residual"] <= 1e-9
+        assert doc["residual"] <= stabilizers.DEFAULT_TOLERANCE
 
     def test_quarter_phase_with_suitable_winding(self, tmp_path, capsys):
         path = tmp_path / "s4.json"
@@ -557,9 +573,16 @@ class TestVerify:
         # not a stabilizer of GHZ3: the angle sum is not a multiple of pi
         assert main(["verify", ghz3_file, "--phis", "1/2,0,0"]) == 3
 
-    def test_zero_tolerance(self, ghz3_file, capsys):
-        assert main(["verify", ghz3_file, "--derive", "--tolerance", "0"]) == 2
-        assert_one_line_error(capsys)
+    def test_zero_tolerance(self, ghz3_file, tmp_path, capsys):
+        # The bound is fixed, so no value of it is accepted.
+        out = tmp_path / "verify.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ghz3_file, "--derive", "--tolerance", "0", "--out", str(out)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", [["--derive"], ["--phis", "1/2,1/4,1/4"],
                                       ["--antidiag", "0,0,1/2"], ["--phis", "1/3,1/5,1/7"]],
@@ -567,13 +590,14 @@ class TestVerify:
     @pytest.mark.parametrize("tolerance", ["inf", "nan"])
     def test_non_finite_tolerance(self, ghz3_file, capsys, mode, tolerance):
         # GHZ3 is no eigenstate of the last operator; an infinite tolerance
-        # once reported it as matched.
-        assert main(["verify", ghz3_file, *mode, "--tolerance", tolerance]) == 2
+        # once reported it as matched. No mode takes a tolerance now.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ghz3_file, *mode, "--tolerance", tolerance])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"topophase: tolerance must be finite and positive, got {tolerance}\n"
-        )
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments: --tolerance" in captured.err
 
     def test_beyond_dense_limit(self, tmp_path, capsys):
         # Diagonal operators are monomial, so 21 qubits need no 2^21 vector.
@@ -582,7 +606,7 @@ class TestVerify:
         for mode in (["--derive"], ["--phis", ",".join(["0"] * 21)]):
             assert main(["verify", str(path), *mode]) == 0
             doc = json.loads(capsys.readouterr().out)
-            assert doc["matched"] is True and doc["residual"] <= 1e-9
+            assert doc["matched"] is True and doc["residual"] <= stabilizers.DEFAULT_TOLERANCE
 
     def test_derive_on_64_qubits(self, tmp_path, capsys, monkeypatch):
         def no_dense(*args):
@@ -609,7 +633,7 @@ class TestVerify:
         save_state(SparseState(5, tuple((b, a * scale) for b, a in state.terms)), path)
         assert main(["verify", str(path), "--derive"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["matched"] is True and doc["residual"] <= 1e-9
+        assert doc["matched"] is True and doc["residual"] <= stabilizers.DEFAULT_TOLERANCE
         assert doc["chi"] == {"num": -3, "den": 5}
 
     @pytest.mark.parametrize("mode, angles, chi", [
@@ -626,7 +650,7 @@ class TestVerify:
     def test_derive_large_winding(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file, "--derive", "--winding", "12345678901234567,0"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["matched"] is True and doc["residual"] <= 1e-9
+        assert doc["matched"] is True and doc["residual"] <= stabilizers.DEFAULT_TOLERANCE
         assert doc["phis"][0] == {"num": -12345678901234567, "den": 1}
 
     @pytest.mark.parametrize("mode", ["--phis", "--antidiag"])

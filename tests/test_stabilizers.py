@@ -21,6 +21,7 @@ from conftest import (
 from topophase import stabilizers
 from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
+    DEFAULT_TOLERANCE,
     FAMILY_NAMES,
     SU2_TOLERANCE,
     antidiagonal_stabilizer,
@@ -39,12 +40,11 @@ from topophase.states import (
     weight_matrix,
 )
 
-TOL = 1e-9
 LOG_TOL = math.log10(SU2_TOLERANCE)
 
 
-def angles_close(a, b, tol=TOL):
-    return abs(wrap_angle(a - b)) <= tol
+def angles_close(a, b):
+    return abs(wrap_angle(a - b)) <= DEFAULT_TOLERANCE
 
 
 class TestOperators:
@@ -90,7 +90,7 @@ class TestOperators:
         with pytest.raises(ValueError, match="operator 0 is not unitary"):
             assert_special_unitary([u])
         with pytest.raises(ValueError, match="not unitary"):
-            verify(ghz_state(3), [u] * 3, TOL)
+            verify(ghz_state(3), [u] * 3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
@@ -138,55 +138,51 @@ class TestVerify:
             for _ in range(10):
                 a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
                 u = diagonal_stabilizer([a, b, p * math.pi - a - b])
-                res = verify(ghz_state(3), u, TOL)
+                res = verify(ghz_state(3), u)
                 assert res.matched and angles_close(res.chi, p * math.pi)
 
     def test_random_operator_rejected(self):
         rng = np.random.default_rng(7)
-        res = verify(ghz_state(3), [random_su2(rng) for _ in range(3)], TOL)
-        assert not res.matched and res.residual > TOL
+        res = verify(ghz_state(3), [random_su2(rng) for _ in range(3)])
+        assert not res.matched and res.residual > DEFAULT_TOLERANCE
 
     def test_global_phase_invariance(self):
         u = diagonal_stabilizer([0.2, 0.3, math.pi - 0.5])
-        base = verify(ghz_state(3), u, TOL)
+        base = verify(ghz_state(3), u)
         rotated = SparseState(
             3, tuple((bits, amp * cmath.exp(0.7j)) for bits, amp in ghz_state(3).terms)
         )
-        res = verify(rotated, u, TOL)
+        res = verify(rotated, u)
         assert res.matched and angles_close(res.chi, base.chi)
 
     def test_product_rule(self):
         u1 = diagonal_stabilizer([0.4, math.pi - 0.4])  # chi = pi on GHZ2
         st1 = ghz_state(2)
-        chi1 = verify(st1, u1, TOL).chi
+        chi1 = verify(st1, u1).chi
         st2, u2, chi2 = known_family("ones_plus_w", 4, qs=(1, 0, 0, 0, 0))
-        combined = verify(tensor_product(st1, st2), list(u1) + list(u2), TOL)
+        combined = verify(tensor_product(st1, st2), list(u1) + list(u2))
         assert combined.matched
         assert angles_close(combined.chi, chi1 + chi2)
 
     def test_operator_count_checked(self):
         with pytest.raises(ValueError, match="local operators"):
-            verify(ghz_state(3), diagonal_stabilizer([0.0]), TOL)
+            verify(ghz_state(3), diagonal_stabilizer([0.0]))
 
     def test_qubit_cap(self):
         # Only a non-monomial operator needs the dense vector, and only it is capped.
         rng = np.random.default_rng(21)
         big = support_state(21, ["0" * 21])
         with pytest.raises(ValueError, match="capped"):
-            verify(big, [random_su2(rng) for _ in range(21)], TOL)
+            verify(big, [random_su2(rng) for _ in range(21)])
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, -1.0, math.pi / 2])
     def test_anchor_moved_off_the_support(self, delta):
         # The first factor maps GHZ3's support onto {100, 011}: no amplitude
         # is left at the anchor, so chi is 0.0 and the state does not match.
         u = antidiagonal_stabilizer([delta]) + diagonal_stabilizer([0.0, 0.0])
-        res = verify(ghz_state(3), u, TOL)
+        res = verify(ghz_state(3), u)
         assert not res.matched and res.chi == 0.0
         assert res.residual == pytest.approx(1.0, abs=1e-15)
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            verify(ghz_state(2), diagonal_stabilizer([0.0, 0.0]), 0.0)
 
 
 def random_monomial(rng, n, quarter):
@@ -229,9 +225,9 @@ class TestMonomialApply:
 
     @staticmethod
     def assert_agrees(state, factors):
-        res = verify(state, factors, TOL)
+        res = verify(state, factors)
         chi, residual = dense_verify(state, factors)
-        assert res.matched == (residual <= TOL)
+        assert res.matched == (residual <= DEFAULT_TOLERANCE)
         assert abs(res.residual - residual) <= 1e-12
         if res.matched:
             assert abs(wrap_angle(res.chi - chi)) <= 1e-12
@@ -267,7 +263,7 @@ class TestMonomialApply:
 class TestKnownFamilies:
     def test_ghz_examples(self):
         st, u, chi = known_family("ghz", 5, p=1, angles=(0.1, 0.2, 0.3, 0.4))
-        res = verify(st, u, TOL)
+        res = verify(st, u)
         assert res.matched and angles_close(res.chi, chi) and angles_close(chi, math.pi)
 
     def test_ghz_antidiag_odd_even(self):
@@ -276,7 +272,7 @@ class TestKnownFamilies:
             for q in (0, 1):
                 deltas = tuple(rng.uniform(-2, 2) for _ in range(n - 1))
                 st, u, chi = known_family("ghz_antidiag", n, q=q, deltas=deltas)
-                res = verify(st, u, TOL)
+                res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
                 if n % 2:
                     assert angles_close(abs(chi), math.pi / 2)
@@ -285,7 +281,7 @@ class TestKnownFamilies:
 
     def test_ones_plus_w_quarter_turn(self):
         st, u, chi = known_family("ones_plus_w", 4, qs=(1, 0, 0, 0, 0))
-        res = verify(st, u, TOL)
+        res = verify(st, u)
         assert res.matched and angles_close(chi, math.pi / 3) and angles_close(res.chi, chi)
 
     def test_ones_plus_w_random_draws(self):
@@ -294,7 +290,7 @@ class TestKnownFamilies:
             for _ in range(20):
                 qs = tuple(rng.randint(-2, 2) for _ in range(n + 1))
                 st, u, chi = known_family("ones_plus_w", n, qs=qs)
-                res = verify(st, u, TOL)
+                res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
                 assert angles_close(chi, wrap_angle(sum(qs) * math.pi / (n - 1)))
 
@@ -304,18 +300,18 @@ class TestKnownFamilies:
             for _ in range(20):
                 alpha = rng.uniform(-math.pi, math.pi)
                 st, u, chi = known_family("w", n, alpha=alpha)
-                res = verify(st, u, TOL)
+                res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
 
     def test_zeros_plus_w_values(self):
         st, u, chi = known_family("zeros_plus_w", 6, alpha=math.pi)
-        res = verify(st, u, TOL)
+        res = verify(st, u)
         assert res.matched and angles_close(res.chi, math.pi) and angles_close(chi, math.pi)
         rng = random.Random(8)
         for n in range(3, 8):
             qs = tuple(rng.randint(0, 1) for _ in range(n))
             st, u, chi = known_family("zeros_plus_w", n, qs=qs)
-            res = verify(st, u, TOL)
+            res = verify(st, u)
             assert res.matched and angles_close(res.chi, chi)
             assert angles_close(chi, 0.0) or angles_close(chi, math.pi)
 
@@ -330,7 +326,7 @@ class TestKnownFamilies:
                   "ones_plus_w": {"qs": (1,) + (0,) * 30}, "w": {"alpha": 0.3},
                   "zeros_plus_w": {"alpha": math.pi}}[name]
         st, u, chi = known_family(name, 30, **params)
-        res = verify(st, u, TOL)
+        res = verify(st, u)
         assert res.matched and angles_close(res.chi, chi)
 
     def test_unknown_family(self):
@@ -368,7 +364,7 @@ class TestSolveThenVerify:
         for winding in windings:
             sol = solve_stabilizer(w, winding)
             u = diagonal_stabilizer([float(f) * math.pi for f in sol.phis])
-            res = verify(state, u, TOL)
+            res = verify(state, u)
             assert res.matched
             assert angles_close(res.chi, float(sol.chi) * math.pi)
             assert (sol.chi * d / 2).denominator == 1  # multiple of 2pi/d
