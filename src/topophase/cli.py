@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -377,9 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state JSON file")
     p.add_argument("--derive", action="store_true",
                    help="solve for a diagonal stabilizer from winding numbers")
-    p.add_argument("--winding", help="comma-separated winding integers (with --derive)")
-    p.add_argument("--phis", help="comma-separated rational angles in pi units (diagonal)")
-    p.add_argument("--antidiag", help="comma-separated rational angles in pi units (antidiagonal)")
+    p.add_argument("--winding", help="comma-separated winding integers (with --derive); "
+                                      "a list starting with '-' needs --winding=LIST")
+    p.add_argument("--phis", help="comma-separated rational angles in pi units (diagonal); "
+                                   "a list starting with '-' needs --phis=LIST")
+    p.add_argument("--antidiag", help="comma-separated rational angles in pi units "
+                                       "(antidiagonal); a list starting with '-' needs "
+                                       "--antidiag=LIST")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -392,9 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  The parser is built once per
+    process, on the first call: building it costs more than a small analyze
+    job, and parsing leaves no state on it, so repeated calls stay independent."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseFailure as exc:

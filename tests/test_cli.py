@@ -277,6 +277,52 @@ class TestConfiguration:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["ghz3.json"]
 
+    def test_parser_reused_safely(self, tmp_path, capsys, monkeypatch):
+        # One parser serves every call in a process; each call must read as if
+        # it had a parser of its own.
+        state = tmp_path / "s4.json"
+        save_state(
+            support_state(5, ["11111", "10000", "01000", "00100", "00010", "00001"]),
+            state,
+        )
+        commands = [
+            ["verify", str(state), "--derive", "--tolerance", "1e-9"],
+            ["verify", "--help"],
+            ["verify", str(state), "--derive", "--winding=0,0,0,0,0,-1"],
+            ["verify", str(state), "--derive"],
+            ["analyze", str(state)],
+            ["search", "--n", "4", "--out", "s"],
+            ["oracle-check", "--n", "3"],
+        ]
+
+        def run(name):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            outputs = []
+            for argv in commands:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("SystemExit", exc.code)
+                outputs.append((code, *capsys.readouterr()))
+            return outputs, {p.name: p.read_bytes() for p in cwd.iterdir()}
+
+        parsers = []
+        cached = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda: parsers.append(cached()) or parsers[-1])
+        reused = run("reused")
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert run("fresh") == reused
+        assert len(parsers) == len(commands)
+        assert all(parser is parsers[0] for parser in parsers)
+        assert [code for code, _, _ in reused[0]] == [
+            ("SystemExit", 1), ("SystemExit", 0), 0, 0, 0, 0, 0]
+        # The winding of the third call does not reach the fourth.
+        assert json.loads(reused[0][2][1])["winding"] == [0, 0, 0, 0, 0, -1]
+        assert json.loads(reused[0][3][1])["winding"] == [1, 0, 0, 0, 0, 0]
+        assert set(reused[1]) == {"s.csv", "s.json"}
+
     def test_settable_value_count(self):
         # Every positional and option string of every subcommand, --help aside.
         (commands,) = [action for action in build_parser()._actions
@@ -681,6 +727,26 @@ class TestVerify:
         # 1e-324 rounds to a zero angle; 5e-1 is the README example's 1/2.
         assert main(["verify", ghz3_file, mode, angles]) == 0
         assert json.loads(capsys.readouterr().out)["matched"] is True
+
+    @pytest.mark.parametrize("flags, chi", [
+        (["--phis", "-1/2,3/4,3/4"], {"num": 1, "den": 1}),
+        (["--antidiag", "-1/2,0,1"], {"num": 1, "den": 2}),
+        (["--derive", "--winding", "-1,0"], {"num": 1, "den": 1}),
+    ])
+    def test_list_starting_with_minus_needs_equals(self, flags, chi, ghz3_file, capsys):
+        # argparse reads a separate "-1,..." as an option, not as the list.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ghz3_file, *flags])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: topophase verify ")
+        assert err.endswith(f"\ntopophase verify: error: argument {flags[-2]}: "
+                            "expected one argument\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
+        joined = [*flags[:-2], f"{flags[-2]}={flags[-1]}"]
+        assert main(["verify", ghz3_file, *joined]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matched"] is True and doc["chi"] == chi
 
     def test_exactly_one_mode(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file]) == 1

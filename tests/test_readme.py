@@ -43,7 +43,7 @@ def cli_block_commands():
 def test_cli_block_matches_parser():
     # Parsed only, not run: a removed or renamed flag fails here.
     commands = cli_block_commands()
-    assert len(commands) == 12
+    assert len(commands) == 13
     parser = build_parser()
     for argv in commands:
         assert argv[0] == "topophase"
