@@ -64,37 +64,34 @@ A brute-force oracle for n <= 6 (`brute_force_oracle`) enumerates supports
 directly and must reproduce the same record sets.  It shares nothing with the
 search but `_record_from_kernel`: no multisets, mask sums or rank test.  A
 support is the all-ones row plus n other sign rows r_i = 1 - 2 b_i, with b_i
-their 0/1 bits stacked into B.  A kernel vector (c0, x) has c0 + sum(x) =
-2 t and B^T x = t 1, so
+their 0/1 bits stacked into B.  Its weight kernel and the left kernel of the
+(n+1) x n 0/1 matrix A = [1; B] correspond one to one: (c0, x) weights the
+sign rows to 0 iff (a, x) weights the rows of A to 0, with c0 = -2a - sum(x).
+So
 
-- a positive kernel needs B nonsingular: if B^T y = 0 with y != 0, then
-  (-sum(y), y) is a kernel vector, and no multiple of it is positive (-sum(y)
-  and y cannot share a sign), so the kernel is either its line or more than
-  one-dimensional, and neither is a line through a positive vector;
-- for nonsingular B the kernel is the line through (2d - sum(x), x) with
-  d = det B and B^T x = d 1, an integer x by Cramer's rule.
+- the kernel is a line iff A has rank n, and then it is the line through
+  the signed maximal minors c'_k = (-1)^k det(A without row k): appending
+  any column of A to A gives a determinant 0, whose expansion along that
+  column is the column weighted by c' (Cramer's rule).  Below rank n every
+  maximal minor is 0, and the kernel is more than a line;
+- the weight kernel is then the line through (-2 c'_0 - sum(c'_1..n),
+  c'_1..n).  A positive kernel needs B nonsingular: c'_0 = det B = 0 leaves
+  c0 = -sum(x), which cannot share a strict sign with x.
 
-Each chunk of supports gets one batched float `det` and one `solve`, both
-rounded to integers; a value further than `ORACLE_ROUNDING_MARGIN` from its
-integer raises ArithmeticError.  A support whose det rounds to 0 is dropped
-as singular (the largest LAPACK error measured on these matrices is 5e-15,
-and a nonzero det is at least 1).  Every other support is checked exactly
-in int64, B^T x = d 1, or ArithmeticError is raised.  Positivity is then
-decided on the integers and is exact: sign(d) (2d - sum(x), x) is |d| times
-the kernel vector (2 - sum(y), y) with B^T y = 1, whatever nonzero d the
-check passes.  Each kept support is certified nonsingular by one more exact
-check, B^T A = d I for the rounded solve A, which forces det B != 0.  A
-record the oracle returns therefore never rests on a float.
+`_support_records` computes every c' exactly in int16, by Laplace expansion
+column by column (its docstring bounds the entries), with no pivoting, no
+division and no float.  It keeps the supports whose weight kernel is nonzero
+and of one strict sign, and divides that by its gcd, so a record the oracle
+returns never rests on a float.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, groupby, permutations
+from functools import cache
+from itertools import chain, combinations, groupby, permutations
 from math import comb, factorial, gcd, isqrt, prod
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -102,11 +99,11 @@ import numpy as np
 from .exactlinalg import solve_rational
 
 ORACLE_MAX_QUBITS = 6
-# Most supports one oracle chunk holds; about 20 MB of float matrices at n = 6.
+# Most supports one oracle chunk holds: 3 MB of unranked rows at n = 6.
 ORACLE_CHUNK_SUPPORTS = 1 << 16
-# Largest distance from an integer a rounded oracle det or solve may show;
-# the largest error measured on these 0/1 matrices is 5e-15.
-ORACLE_ROUNDING_MARGIN = 1e-6
+# Most supports whose minors are expanded at once: the largest layer at n = 6,
+# C(7, 3) minors of each, is 280 kB of int16.
+ORACLE_BLOCK_SUPPORTS = 1 << 12
 # Most mask sums one search batch holds: k multisets of n values take k * 2^n,
 # 0.5 MB of int64 keys at 2^16.  Also the most padded rows one rank call of
 # `_bucket_pivots` holds (one bucket aside), and the most rows of n parts the
@@ -283,10 +280,12 @@ def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
     return sum(_BYTE_POPCOUNT[masks >> shift & 255] for shift in range(0, n, 8))
 
 
-def _map_stripes(func: Callable, tasks: Sequence, workers: int, start_method: str) -> list:
+def _map_stripes(func: Callable, tasks: Sequence, workers: int) -> list:
     """func of each stripe tasks[i::p] for p = min(workers, tasks, CPUs)
-    processes of the given start method, or of all tasks inline when p <= 1
-    (the CPU count, a file read, only when more than one process could run)."""
+    forked processes, or of all tasks inline when p <= 1 (the CPU count, a
+    file read, only when more than one process could run).  The process
+    pool is imported only then: `concurrent.futures` and `multiprocessing`
+    hold about 2 MB that a one-process run never uses."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     procs = min(workers, len(tasks))
@@ -294,7 +293,11 @@ def _map_stripes(func: Callable, tasks: Sequence, workers: int, start_method: st
         procs = min(procs, os.cpu_count() or 1)
     if procs <= 1:
         return [func(tasks)]
-    with ProcessPoolExecutor(max_workers=procs, mp_context=get_context(start_method)) as pool:
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=procs,
+                                                mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(func, [tasks[i::procs] for i in range(procs)]))
 
 
@@ -563,7 +566,7 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     """
     if sum_bound is None:
         sum_bound = 4 * n
-    parts = _map_stripes(_scan_tasks, _search_tasks(n, sum_bound), workers, "fork")
+    parts = _map_stripes(_scan_tasks, _search_tasks(n, sum_bound), workers)
     return SearchResult(
         n,
         sum_bound,
@@ -648,15 +651,6 @@ def _colex_supports(n: int, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _nearest_integers(values: np.ndarray) -> np.ndarray:
-    """`values` rounded to int64; ArithmeticError when one (NaN included) lies
-    further than ORACLE_ROUNDING_MARGIN from its integer."""
-    rounded = np.rint(values)
-    if not (np.abs(values - rounded) <= ORACLE_ROUNDING_MARGIN).all():
-        raise ArithmeticError("oracle det or solve is off its integer by more than the margin")
-    return rounded.astype(np.int64)
-
-
 def _oracle_chunks(tasks: Sequence[tuple[int, int, int]]) -> set[SearchRecord]:
     records = set()
     for n, lo, hi in tasks:
@@ -666,23 +660,62 @@ def _oracle_chunks(tasks: Sequence[tuple[int, int, int]]) -> set[SearchRecord]:
 
 def _support_records(n: int, supports: np.ndarray) -> set[SearchRecord]:
     """Records of the supports in the rows of `supports`, each the indices of
-    its n sign rows other than all-ones (index i: the bits of mask i + 1), by
-    the float det and solve and the exact certificate of the module docstring."""
-    bt = _bits(supports + 1, n).swapaxes(1, 2)  # B^T: column i holds the bits of row i
-    d = _nearest_integers(np.linalg.det(bt))
-    bt, d = bt[d != 0], d[d != 0]
-    x = _nearest_integers(np.linalg.solve(bt, np.repeat(d[:, None, None], n, axis=1)))
-    if not (bt @ x == d[:, None, None]).all():
-        raise ArithmeticError("oracle solve fails its exact int64 check")
-    x = x[:, :, 0]
-    kernel = np.column_stack([2 * d - x.sum(axis=1), x]) * np.sign(d)[:, None]
-    keep = (kernel > 0).all(axis=1)
-    bt, kernel = bt[keep], kernel[keep]
-    scaled_eye = d[keep, None, None] * np.eye(n, dtype=np.int64)
-    if not (bt @ _nearest_integers(np.linalg.solve(bt, scaled_eye)) == scaled_eye).all():
-        raise ArithmeticError("oracle adjugate fails its exact int64 check")
-    kernel //= np.gcd.reduce(kernel, axis=1)[:, None]
-    return {rec for rec in map(_record_from_kernel, kernel.tolist()) if rec is not None}
+    its n sign rows other than all-ones (index i: the bits of mask i + 1),
+    from the signed maximal minors of A = [1; B] (module docstring).
+
+    Layer j holds the j x j minors, in the first j columns, of every
+    j-subset of the n + 1 rows; layer j + 1 expands along column j, adding
+    one row position of `_laplace_tables` at a time, in blocks of
+    ORACLE_BLOCK_SUPPORTS supports.  A j x j 0/1 minor is at most
+    h(j) = (j+1)^((j+1)/2) / 2^j in absolute value (Hadamard, on the +-1
+    matrix of order j + 1 that borders it), so a partial sum of layer j + 1
+    is at most (j+1) h(j) <= 41 for j < n <= ORACLE_MAX_QUBITS, and
+    |c0| <= (n+2) h(n) <= 113: int16 holds every value exactly.
+    """
+    tables = _laplace_tables(n)
+    masks = np.empty((n + 1, len(supports)), dtype=np.int16)
+    masks[0] = (1 << n) - 1
+    masks[1:] = supports.T + 1
+    records = set()
+    for lo in range(0, len(supports), ORACLE_BLOCK_SUPPORTS):
+        rows = masks[:, lo:lo + ORACLE_BLOCK_SUPPORTS]
+        minors = rows & 1
+        for col, terms in enumerate(tables, start=1):
+            bits = rows >> col & 1
+            layer = np.zeros((len(terms[0][0]), rows.shape[1]), dtype=np.int16)
+            for pos, (row, sub) in enumerate(terms):
+                term = bits[row]
+                term *= minors[sub]
+                if (pos + col) % 2:
+                    layer -= term
+                else:
+                    layer += term
+            minors = layer
+        kernel = minors[::-1]  # det(A without row k), k = 0 .. n
+        kernel[1::2] *= -1
+        kernel[0] = -2 * kernel[0] - kernel[1:].sum(axis=0, dtype=np.int16)
+        keep = (kernel > 0).all(axis=0) | (kernel < 0).all(axis=0)
+        kept = np.abs(kernel[:, keep].T.astype(np.int64))
+        kept //= np.gcd.reduce(kept, axis=1)[:, None]
+        records.update(rec for rec in map(_record_from_kernel, kept.tolist()) if rec is not None)
+    return records
+
+
+@cache
+def _laplace_tables(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """Per column j = 1 .. n - 1, per row position p < j + 1, the Laplace
+    terms of the (j+1)-subsets S of the n + 1 rows, in lexicographic order:
+    row S[p], and the index of S without it among the j-subsets.  The term
+    enters det(S) with sign (-1)^(p + j)."""
+    tables = []
+    index = {(row,): row for row in range(n + 1)}
+    for size in range(2, n + 1):
+        subsets = list(combinations(range(n + 1), size))
+        tables.append(tuple((np.array([s[p] for s in subsets], dtype=np.intp),
+                             np.array([index[s[:p] + s[p + 1:]] for s in subsets], dtype=np.intp))
+                            for p in range(size)))
+        index = {s: k for k, s in enumerate(subsets)}
+    return tuple(tables)
 
 
 def brute_force_oracle(n: int, workers: int = 1) -> set[SearchRecord]:
@@ -691,16 +724,17 @@ def brute_force_oracle(n: int, workers: int = 1) -> set[SearchRecord]:
     Column negation makes any chosen row all +1 without touching the kernel,
     so supports containing the all-ones row cover every class; the other n
     rows run over all C(2^n - 1, n) choices, in chunks of consecutive colex
-    ranks with one batched float det and solve each (module docstring).
-    Each support whose weight rows form an irreducible c-state of maximal
-    length contributes its kernel-vector record.  With workers > 1, spawned
-    processes (LAPACK need not survive a fork) take the chunks in stripes.
+    ranks, each support's kernel read exactly off its signed maximal minors
+    (module docstring).  Each support whose weight rows form an irreducible
+    c-state of maximal length contributes its kernel-vector record.  With
+    workers > 1, forked processes take the chunks in stripes, as in the
+    search.
     """
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle cost explodes beyond n={ORACLE_MAX_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
-    return set().union(*_map_stripes(_oracle_chunks, _oracle_tasks(n), workers, "spawn"))
+    return set().union(*_map_stripes(_oracle_chunks, _oracle_tasks(n), workers))
 
 
 def a_class_matrices(multiset: Sequence[int], z: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,11 +1,14 @@
+import concurrent.futures
 import hashlib
 import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import time
 from itertools import combinations, permutations
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from topophase.balance import (
 from topophase import search
 from topophase.search import (
     MAX_SEARCH_QUBITS,
+    ORACLE_MAX_QUBITS,
     CombinatorialStructure,
     SearchRecord,
     a_class_matrices,
@@ -267,6 +271,17 @@ class TestSearchTables:
         assert len(list(search._search_batches(search._search_tasks(7, 28)))) == 5
         assert search_tables(7, 28, workers=2) == search_tables(7, 28, workers=1)
 
+    def test_one_process_imports_no_pool(self):
+        # The process pool is imported only when a map starts processes.
+        code = ("import sys; from topophase import cli; "
+                "cli.main(['oracle-check', '--n', '4', '--workers', '2']); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('concurrent', 'multiprocessing')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "oracle check n=4: PASS (1 records, bound 4)\n[]\n"
+
     def test_processes_capped_at_tasks_and_cpus(self, monkeypatch):
         # No process starts: the pool records what it is asked for and maps inline.
         requested = []
@@ -284,7 +299,7 @@ class TestSearchTables:
             def map(self, func, stripes):
                 return map(func, stripes)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", NoProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
         # One task each: min(workers, tasks, CPUs) = 1 runs inline.
         assert search_tables(3, 3, workers=10 ** 6) == search_tables(3, 3)
         assert brute_force_oracle(3, workers=10 ** 6) == brute_force_oracle(3)
@@ -294,7 +309,7 @@ class TestSearchTables:
         monkeypatch.setattr(search, "ORACLE_CHUNK_SUPPORTS", 1)  # 35 chunks at n = 3
         assert brute_force_oracle(3, workers=10 ** 6) == brute_force_oracle(3)
         assert search_tables(5, 12, workers=2) == search_tables(5, 12)
-        assert requested == [(3, "fork"), (3, "spawn"), (2, "fork")]
+        assert requested == [(3, "fork"), (3, "fork"), (2, "fork")]
 
 
     @pytest.mark.parametrize("n, bound, scanned, tests", [
@@ -784,14 +799,32 @@ class TestOracle:
         assert last[-1].tolist() == list(range(57, 63))
 
     def test_support_records_match_reference_per_support(self):
-        # The first support's kernel is 2 * (1, 1, 1, 1, 1, 2, 1): the gcd must go.
-        rng = random.Random(6)
-        supports = [[2, 8, 29, 45, 52, 57]] + [rng.sample(range(63), 6) for _ in range(300)]
-        for support in supports:
-            signs = [tuple(1 - 2 * (m + 1 >> j & 1) for j in range(6)) for m in support]
-            vec = positive_maximal_kernel([(1,) * 6, *signs])
-            expected = {search._record_from_kernel(vec)} - {None} if vec else set()
-            assert search._support_records(6, np.array([support])) == expected, support
+        # One support at a time and all in one block agree with the exact
+        # per-support kernel.  At n = 6 the first support's kernel is
+        # 2 * (1, 1, 1, 1, 1, 2, 1): the gcd must go.  Random draws are
+        # often singular (B of rank below n); 20 more are singular by
+        # construction, a mask of two bits or more beside its lowest bit and
+        # the rest of its bits.
+        for n, count in [(4, 400), (5, 400), (6, 300)]:
+            rng = random.Random(6 + n)
+            full = (1 << n) - 1
+            supports = [[2, 8, 29, 45, 52, 57]] if n == 6 else []
+            for _ in range(20):
+                c = rng.choice([m for m in range(1, full + 1) if m & m - 1])
+                a, b = c & -c, c & c - 1
+                rest = rng.sample(sorted(set(range(1, full + 1)) - {a, b, c}), n - 3)
+                supports.append(sorted(m - 1 for m in [a, b, c, *rest]))
+            supports += [sorted(rng.sample(range(full), n)) for _ in range(count)]
+            expected, singular = set(), 0
+            for support in supports:
+                signs = [tuple(1 - 2 * (m + 1 >> j & 1) for j in range(n)) for m in support]
+                vec = positive_maximal_kernel([(1,) * n, *signs])
+                own = {search._record_from_kernel(vec)} - {None} if vec else set()
+                assert search._support_records(n, np.array([support])) == own, support
+                expected |= own
+                singular += rank_rational([[m + 1 >> j & 1 for j in range(n)] for m in support]) < n
+            assert expected and search._support_records(n, np.array(supports)) == expected
+            assert 20 <= singular < len(supports)
 
     @pytest.mark.usefixtures("two_cpus")
     def test_workers_agree(self):
@@ -799,25 +832,26 @@ class TestOracle:
         assert records == brute_force_oracle(5)
         assert as_tuples(records) == TRUE_RECORDS[5]
 
-    def test_det_off_the_margin_raises(self, monkeypatch):
-        det = np.linalg.det
-        monkeypatch.setattr(np.linalg, "det", lambda a: det(a) + 0.3)
-        with pytest.raises(ArithmeticError):
-            brute_force_oracle(4)
+    def test_no_linear_algebra_library(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called numpy.linalg")
 
-    @pytest.mark.parametrize("columns", [1, 4])  # the d*1 solve, the d*I solve
-    def test_solve_off_by_one_fails_exact_check(self, columns, monkeypatch):
-        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert as_tuples(brute_force_oracle(4)) == TRUE_RECORDS[4]
 
-        def off_by_one(a, b):
-            out = solve(a, b)
-            if out.shape[-1] == columns:
-                out[0, 0, 0] += 1.0
-            return out
+    @pytest.mark.parametrize("n", range(2, ORACLE_MAX_QUBITS + 1))
+    def test_minors_fit_int16(self, n):
+        # h(j) = (j+1)^((j+1)/2) / 2^j bounds a j x j 0/1 minor (Hadamard):
+        # floor(h(j)) = isqrt((j+1)^(j+1) // 4^j).  A partial sum of layer
+        # j + 1 holds at most j + 1 terms, and c0 = -2 c'_0 - sum(c'_1..n).
+        def hadamard(j):
+            return isqrt((j + 1) ** (j + 1) // 4 ** j)
 
-        monkeypatch.setattr(np.linalg, "solve", off_by_one)
-        with pytest.raises(ArithmeticError, match="exact"):
-            brute_force_oracle(4)
+        assert max((j + 1) * hadamard(j) for j in range(1, n)) <= 41
+        assert (n + 2) * hadamard(n) <= 113 < np.iinfo(np.int16).max
+        # The 0/1 maxima of orders 1..6 are 1, 1, 2, 3, 5, 9.
+        assert hadamard(n) >= [1, 1, 2, 3, 5, 9][n - 1]
 
     def test_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
