@@ -6,9 +6,9 @@ its weight matrix: the coordinate sums of the kernel vectors form an ideal
 d*Z, and the phase set is either all of R (d = 0, no affine dependence) or
 exactly the multiples of 2*pi/d.
 
-Certificates, stabilizer-angle solves, representative-state construction,
-telescoping and the SLOCC-inequivalence test all live here.  Angles and
-phases are exact rationals in units of pi.
+Certificates, stabilizer-angle solves and representative-state
+construction live here.  Angles and phases are exact rationals in units
+of pi.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlinalg import (convex_feasible, kernel_lattice, make_primitive, solve_integer,
                           solve_rational)
@@ -48,12 +48,6 @@ class PhaseSet:
     def chi_min(self) -> Optional[Fraction]:
         """Smallest positive phase in units of pi, or None when continuous."""
         return None if self.d == 0 else Fraction(2, self.d)
-
-    def contains(self, chi: Fraction) -> bool:
-        """Membership of a phase (rational, units of pi) in the set."""
-        if self.d == 0:
-            return True
-        return (chi / self.chi_min).denominator == 1
 
 
 @dataclass(frozen=True)
@@ -266,45 +260,6 @@ def construct_state(structure) -> SparseState:
         return support_state(n, bits)
     except ValueError as exc:
         raise ValueError(f"malformed structure: {exc}") from exc
-
-
-def telescope(state: SparseState, new_column: Sequence[int]) -> SparseState:
-    """Extend a state by one qubit whose +-1 column lies in the column span.
-
-    The appended column leaves the kernel lattice of the weight matrix
-    unchanged, so the phase set is preserved exactly.  Columns outside the
-    rational column span are rejected, and so are entries that are not
-    integers (bool, float and str included).
-    """
-    w = weight_matrix(state)
-    col = list(new_column)
-    if len(col) != w.m or any(type(x) is not int or x not in (-1, 1) for x in col):
-        raise ValueError(f"new column must be {w.m} integers, each +-1")
-    if solve_rational(w.rows, col) is None:
-        raise ValueError(
-            "column not in the rational column span of the weight matrix; "
-            "appending it would change the phase set"
-        )
-    terms = tuple(
-        (bits + ("1" if col[j] == 1 else "0"), amp)
-        for j, (bits, amp) in enumerate(state.terms)
-    )
-    return SparseState(state.n + 1, terms)
-
-
-def bezout_inequivalence(d1: int, d2: int, allowed: Iterable[int]) -> bool:
-    """Certify that states with phases pi/d1 and pi/d2 sit in distinct
-    SLOCC orbits.
-
-    Were they equivalent, combined cyclic evolutions would realize the phase
-    pi * gcd(d1, d2) / (d1 * d2) = pi / lcm(d1, d2), which must then be an
-    integer multiple of some admissible minimal phase pi/d.  The certificate
-    holds iff no allowed denominator is a multiple of lcm(d1, d2).
-    """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("denominators must be positive")
-    combined = lcm(d1, d2)
-    return all(d % combined for d in allowed)
 
 
 def _classify(

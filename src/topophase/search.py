@@ -129,6 +129,8 @@ class CombinatorialStructure:
     patterns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("maximal-length structures need n >= 3")
         if len(self.multiset) != self.n:
             raise ValueError("multiset size must equal n")
         if any(c < 1 for c in self.multiset) or list(self.multiset) != sorted(self.multiset, reverse=True):
@@ -153,9 +155,6 @@ class CombinatorialStructure:
     def denominator(self) -> int:
         """chi_min = pi / denominator."""
         return self.total - self.z
-
-    def record(self) -> "SearchRecord":
-        return SearchRecord(self.denominator, self.multiset, self.z)
 
     def sign_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Pattern-by-position sign matrix: +1 at members, -1 elsewhere."""

@@ -3,9 +3,9 @@
 Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to
 DEFAULT_TOLERANCE, each operator first in SU(2) to SU2_TOLERANCE; both
 bounds are fixed, since the residual measures float rounding only.  A
-monomial operator (every factor diagonal or antidiagonal, as the CLI and
-`known_family` build) is applied term by term in O(n*m), any other to the
-dense 2^n vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
+monomial operator (every factor diagonal or antidiagonal, as the CLI
+builds) is applied term by term in O(n*m), any other to the dense 2^n
+vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
 throughout: |1> is the +1 eigenvector of a diagonal stabilizer, carrying
 e^{+i phi}; this matches the weight-matrix convention bit 1 -> +1, so the
 exact rational solutions produced by the balance analysis verify directly.
@@ -20,19 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import (
-    SparseState,
-    ghz_state,
-    ones_plus_w_state,
-    w_state,
-    zeros_plus_w_state,
-)
+from .states import SparseState
 
 MAX_DENSE_QUBITS = 20
 DEFAULT_TOLERANCE = 1e-9
 SU2_TOLERANCE = 1e-12
-
-FAMILY_NAMES = ("ghz", "ghz_antidiag", "ones_plus_w", "w", "zeros_plus_w")
 
 
 @dataclass(frozen=True)
@@ -91,6 +83,11 @@ def assert_special_unitary(unitaries: Sequence[np.ndarray]) -> None:
 
 
 def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+    """The n local operators applied to a dense 2^n vector, qubit 0 first.
+
+    The CLI never reaches it, since its operators are monomial; `verify`
+    keeps it as the path for any other operator the library accepts.
+    """
     n = len(unitaries)
     psi = np.asarray(vec, dtype=complex).reshape((2,) * n)
     for k, u in enumerate(unitaries):
@@ -151,80 +148,3 @@ def verify(state: SparseState, unitaries: Sequence[np.ndarray]) -> VerificationR
     chi = wrap_angle(cmath.phase(out[anchor] / vec[anchor])) if out[anchor] else 0.0
     residual = float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))
     return VerificationResult(residual <= DEFAULT_TOLERANCE, chi, residual)
-
-
-def known_family(name: str, n: int, **params):
-    """Closed-form stabilizer families: (state, operators, expected chi).
-
-    ghz            p int, angles: n-1 free angles; chi = p * pi
-    ghz_antidiag   q int, deltas: n-1 free angles; chi = pi/2 + q*pi (odd n)
-                   or q*pi (even n)
-    ones_plus_w    qs: n+1 ints; chi = sum(qs) * pi / (n - 1)
-    w              alpha float, qs: n ints; continuous family,
-                   chi = (2 - n) * alpha - sum(qs) * pi
-    zeros_plus_w   alpha in {0, pi} applied to the first qubit, or qs: n ints;
-                   chi = sum(qs) * pi in {0, pi}
-    """
-    if name not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-    if n < 2:
-        raise ValueError("families need at least two qubits")
-
-    if name == "ghz":
-        p = int(params.pop("p", 0))
-        angles = tuple(params.pop("angles", (0.0,) * (n - 1)))
-        _reject_extra(params)
-        if len(angles) != n - 1:
-            raise ValueError(f"ghz family takes {n - 1} free angles")
-        phis = angles + (p * math.pi - sum(angles),)
-        return ghz_state(n), diagonal_stabilizer(phis), wrap_angle(p * math.pi)
-
-    if name == "ghz_antidiag":
-        q = int(params.pop("q", 0))
-        deltas = tuple(params.pop("deltas", (0.0,) * (n - 1)))
-        _reject_extra(params)
-        if len(deltas) != n - 1:
-            raise ValueError(f"ghz_antidiag family takes {n - 1} free angles")
-        target = q * math.pi + (math.pi / 2 if n % 2 else 0.0)
-        full = deltas + (target - sum(deltas),)
-        return ghz_state(n), antidiagonal_stabilizer(full), wrap_angle(target)
-
-    if name == "ones_plus_w":
-        qs = tuple(int(x) for x in params.pop("qs"))
-        _reject_extra(params)
-        if len(qs) != n + 1:
-            raise ValueError(f"ones_plus_w family takes {n + 1} integers")
-        total = sum(qs)
-        chi = wrap_angle(total * math.pi / (n - 1))
-        phis = (chi - total * math.pi,) + (chi,) * (n - 1)
-        return ones_plus_w_state(n), diagonal_stabilizer(phis), chi
-
-    if name == "w":
-        alpha = float(params.pop("alpha", 0.0))
-        qs = tuple(int(x) for x in params.pop("qs", (0,) * n))
-        _reject_extra(params)
-        if len(qs) != n:
-            raise ValueError(f"w family takes {n} integers")
-        phis = tuple(alpha + q * math.pi for q in qs)
-        chi = wrap_angle((2 - n) * alpha - sum(qs) * math.pi)
-        return w_state(n), diagonal_stabilizer(phis), chi
-
-    # zeros_plus_w: stabilizers are per-qubit signs +-identity.
-    if "qs" in params:
-        qs = tuple(int(x) for x in params.pop("qs"))
-    else:
-        alpha = float(params.pop("alpha", 0.0))
-        lead = round(alpha / math.pi)
-        if abs(alpha - lead * math.pi) > 1e-12:
-            raise ValueError("zeros_plus_w alpha must be a multiple of pi")
-        qs = (lead,) + (0,) * (n - 1)
-    _reject_extra(params)
-    if len(qs) != n:
-        raise ValueError(f"zeros_plus_w family takes {n} integers")
-    phis = tuple(q * math.pi for q in qs)
-    return zeros_plus_w_state(n), diagonal_stabilizer(phis), wrap_angle(sum(qs) * math.pi)
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise ValueError(f"unexpected family parameters: {sorted(params)}")

@@ -105,23 +105,6 @@ def ghz_state(n: int) -> SparseState:
     return support_state(n, ["0" * n, "1" * n])
 
 
-def w_state(n: int) -> SparseState:
-    return support_state(n, ["0" * k + "1" + "0" * (n - 1 - k) for k in range(n)])
-
-
-def ones_plus_w_state(n: int) -> SparseState:
-    """All-ones term plus the W-state terms."""
-    return support_state(
-        n, ["1" * n] + ["0" * k + "1" + "0" * (n - 1 - k) for k in range(n)]
-    )
-
-
-def zeros_plus_w_state(n: int) -> SparseState:
-    return support_state(
-        n, ["0" * n] + ["0" * k + "1" + "0" * (n - 1 - k) for k in range(n)]
-    )
-
-
 def parse_state(text: str) -> SparseState:
     """Parse the JSON state format, reporting the offending term on error."""
     try:
@@ -173,11 +156,6 @@ def state_to_json(state: SparseState) -> str:
 def load_state(path) -> SparseState:
     with open(path, encoding="utf-8") as fh:
         return parse_state(fh.read())
-
-
-def save_state(state: SparseState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(state))
 
 
 def weight_matrix(state: SparseState) -> WeightMatrix:

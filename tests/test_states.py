@@ -10,6 +10,7 @@ from conftest import (
     subset_scan_entangled,
     tensor_product,
 )
+from paper_fixtures import w_state
 from topophase.balance import classify
 from topophase.states import (
     SparseState,
@@ -19,7 +20,6 @@ from topophase.states import (
     product_factors,
     state_to_json,
     support_state,
-    w_state,
     weight_matrix,
 )
 
