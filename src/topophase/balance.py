@@ -8,18 +8,18 @@ exactly the multiples of 2*pi/d.
 
 Certificates, stabilizer-angle solves and representative-state
 construction live here.  Angles and phases are exact rationals in units
-of pi.
+of pi.  `analysis_report` decides each flag once, off the cached kernel
+basis (semistability by `positive_maximal_kernel`); `classify` reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .exactlinalg import (convex_feasible, kernel_lattice, make_primitive, solve_integer,
-                          solve_rational)
+from .exactlinalg import convex_feasible, make_primitive, solve_integer, solve_rational
 from .states import (
     SparseState,
     WeightMatrix,
@@ -178,19 +178,16 @@ def is_irreducible_maximal_length(w: WeightMatrix) -> bool:
     return w.m == w.n + 1 and len(w.kernel) == 1 and sum(w.kernel[0]) != 0
 
 
-def positive_maximal_kernel(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+def positive_maximal_kernel(w: WeightMatrix) -> Optional[tuple[int, ...]]:
     """Primitive all-positive kernel vector of an (n+1) x n weight matrix.
 
     Returns the coefficients exactly when the rows form an irreducible
     c-state of maximal length (rank n, one-dimensional kernel, all
-    coefficients nonzero with a common sign); None otherwise.
+    coefficients nonzero with a common sign), read off the cached basis
+    (first nonzero entry positive); None otherwise.
     """
-    if not rows or len(rows) != len(rows[0]) + 1:
-        return None
-    basis = kernel_lattice(rows)
-    # Basis vectors are primitive with a positive first nonzero entry.
-    if len(basis) == 1 and all(x > 0 for x in basis[0]):
-        return basis[0]
+    if is_irreducible_maximal_length(w) and min(w.kernel[0]) > 0:
+        return w.kernel[0]
     return None
 
 
@@ -262,43 +259,28 @@ def construct_state(structure) -> SparseState:
         raise ValueError(f"malformed structure: {exc}") from exc
 
 
-def _classify(
-    state: SparseState, w: WeightMatrix
-) -> tuple[ClassificationFlags, Optional[KernelCertificate]]:
-    """Classification flags and the strongest certificate (convex, else
-    affine), running the simplex at most once."""
-    single = state.m == 1
-    entangled = state.n >= 2 and not single and len(product_factors(state)) == 1
-    affine = affine_certificate(w)
-    # A convex certificate has a positive sum, so only an a-state has one.
-    convex = convex_certificate(w) if affine is not None else None
-    flags = ClassificationFlags(
-        n_partite_entangled=entangled,
-        a_state=affine is not None,
-        c_state=convex is not None,
-        # Same test as positive_maximal_kernel(w.rows), on the cached basis.
-        semistable_certified=is_irreducible_maximal_length(w) and min(w.kernel[0]) > 0,
-        single_term=single,
-    )
-    return flags, convex or affine
-
-
 def classify(state: SparseState) -> ClassificationFlags:
     """Classification flags; the balancedness flags refer to the
     computational basis of the input."""
-    return _classify(state, weight_matrix(state))[0]
+    return ClassificationFlags(**analysis_report(state)["flags"])
 
 
 def analysis_report(state: SparseState) -> dict:
     """JSON-ready analysis of one state in its computational basis."""
     w = weight_matrix(state)
     ps = phase_set(w)
-    flags, cert = _classify(state, w)
+    single = state.m == 1
+    entangled = state.n >= 2 and not single and len(product_factors(state)) == 1
+    affine = affine_certificate(w)
+    # A convex certificate has a positive sum, so only an a-state has one.
+    convex = convex_certificate(w) if affine is not None else None
+    cert = convex or affine
     if ps.continuous:
         chi_min = "continuous"
     else:
         chi_min = {"num": ps.chi_min.numerator, "den": ps.chi_min.denominator}
-    irreducible = flags.a_state and len(w.kernel) == 1 and all(w.kernel[0])  # see irreducibility
+    # See irreducibility: one kernel vector with no zero entry.
+    irreducible = affine is not None and len(w.kernel) == 1 and all(w.kernel[0])
     return {
         "n": state.n,
         "m": state.m,
@@ -308,6 +290,12 @@ def analysis_report(state: SparseState) -> dict:
         "certificate_kind": cert.kind if cert else None,
         "irreducible": irreducible,
         "maximal_length": is_irreducible_maximal_length(w),
-        "flags": asdict(flags),
+        "flags": {
+            "n_partite_entangled": entangled,
+            "a_state": affine is not None,
+            "c_state": convex is not None,
+            "semistable_certified": positive_maximal_kernel(w) is not None,
+            "single_term": single,
+        },
         "basis": "computational",
     }

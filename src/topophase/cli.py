@@ -50,7 +50,8 @@ def _write_texts(texts: dict[str, str]) -> None:
     """Write every text to its path.  A missing or regular target is staged in a
     file beside it (through a symlink) under a random name, and replaced once
     every text is staged or written; staged files go on any failure.  A device
-    or a pipe is written in place, in turn; a directory fails there, first."""
+    or a pipe is written in place, in turn; a directory fails there, first.  A
+    failure names the target and the OS reason, never a staged file."""
     staged = []
     try:
         for path, text in texts.items():
@@ -68,7 +69,7 @@ def _write_texts(texts: dict[str, str]) -> None:
         for path, real, tmp in staged:
             os.replace(tmp, real)
     except OSError as exc:
-        raise ParseFailure(f"cannot write {path}: {exc}") from exc
+        raise ParseFailure(f"cannot write {path}: {exc.strerror}") from exc
     finally:
         for _, _, tmp in staged:
             if os.path.exists(tmp):

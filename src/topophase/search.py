@@ -96,7 +96,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exactlinalg import solve_rational
+from .exactlinalg import determinant
 
 ORACLE_MAX_QUBITS = 6
 # Most supports one oracle chunk holds: 3 MB of unranked rows at n = 6.
@@ -121,7 +121,7 @@ _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int3
 class CombinatorialStructure:
     """Multiset + target sum Z + one pattern (0-based position subset) per
     qubit.  Only shape is validated here; the arithmetic invariants are the
-    business of `validate_structure` / `uniqueness_check`."""
+    business of `validate_structure`."""
 
     n: int
     multiset: tuple[int, ...]
@@ -575,7 +575,7 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
     )
 
 
-def table_one_denominators(n: int, workers: int = 1) -> tuple[int, ...]:
+def table_one_denominators(n: int) -> tuple[int, ...]:
     """chi_min denominators available to n qubits: the union over maximal
     length structures at k = 3..n plus the two-qubit pi (denominator 1).
     Each k is scanned to the default 4k, so the union is provably
@@ -584,12 +584,13 @@ def table_one_denominators(n: int, workers: int = 1) -> tuple[int, ...]:
         raise ValueError("phase tables start at two qubits")
     denoms = {1}
     for k in range(3, n + 1):
-        denoms.update(search_tables(k, workers=workers).denominators)
+        denoms.update(search_tables(k).denominators)
     return tuple(sorted(denoms))
 
 
 def validate_structure(structure: CombinatorialStructure) -> None:
-    """Raise ValueError naming the first violated structure invariant."""
+    """Raise ValueError naming the first violated structure invariant; the
+    patterns pin the integers down iff the sign matrix is nonsingular."""
     if gcd(*structure.multiset) != 1:
         raise ValueError("multiset values must have greatest common divisor 1")
     for k, pat in enumerate(structure.patterns):
@@ -600,18 +601,10 @@ def validate_structure(structure: CombinatorialStructure) -> None:
         raise ValueError("Z must stay below half the multiset sum (c0 positive)")
     if structure.c0 < structure.multiset[0]:
         raise ValueError("derived c0 must be at least the largest multiset value")
-    if not uniqueness_check(structure):
+    # Row k of the sign system reads Z - (sum(c) - Z) = -c0, so the multiset
+    # always solves it, and it is the only solution iff det != 0.
+    if determinant(structure.sign_matrix()) == 0:
         raise ValueError("selection does not uniquely define the integers")
-
-
-def uniqueness_check(structure: CombinatorialStructure) -> bool:
-    """True iff the pattern sign matrix is nonsingular and solving the column
-    system with right side -c0 * (1..1) reproduces the multiset values."""
-    sol = solve_rational(structure.sign_matrix(), [-structure.c0] * structure.n)
-    if sol is None:
-        return False
-    x, free = sol
-    return free == 0 and all(x[j] == structure.multiset[j] for j in range(structure.n))
 
 
 def _record_from_kernel(vec: Sequence[int]) -> Optional[SearchRecord]:

@@ -11,9 +11,10 @@ import pytest
 
 from paper_fixtures import append_column
 from topophase import balance, search
-from topophase.exactlinalg import kernel_lattice
+from topophase.exactlinalg import kernel_lattice, solve_rational
 from topophase.stabilizers import SU2_TOLERANCE, apply_local_unitaries
-from topophase.states import PRODUCT_RANK_TOLERANCE, SparseState, support_state, weight_matrix
+from topophase.states import (PRODUCT_RANK_TOLERANCE, SparseState, WeightMatrix, support_state,
+                              weight_matrix)
 
 
 def brute_force_det(rows):
@@ -336,6 +337,17 @@ def sign_orbit(matrix, multiset):
     }
 
 
+def reference_uniqueness(structure):
+    """Reference for the uniqueness test of `search.validate_structure`: solve
+    the sign system with right side -c0 * (1..1) and compare the unique
+    solution, if there is one, with the multiset."""
+    sol = solve_rational(structure.sign_matrix(), [-structure.c0] * structure.n)
+    if sol is None:
+        return False
+    x, free = sol
+    return free == 0 and all(x[j] == structure.multiset[j] for j in range(structure.n))
+
+
 def reference_a_classes(multiset, z):
     """Reference for `search.a_class_matrices`: walk every independent raw
     selection, skip those already in a seen orbit, and keep each new orbit's
@@ -357,7 +369,7 @@ def reference_brute_force_oracle(n):
     others = [row for row in product((1, -1), repeat=n) if row != ones]
     records = set()
     for combo in combinations(others, n):
-        vec = balance.positive_maximal_kernel([ones, *combo])
+        vec = balance.positive_maximal_kernel(WeightMatrix(n + 1, n, (ones, *combo)))
         if vec is not None:
             rec = search._record_from_kernel(vec)
             if rec is not None:

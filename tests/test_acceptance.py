@@ -168,7 +168,7 @@ def prove_genuine(record, support):
     for k in range(n):
         assert sum(c * row[k] for c, row in zip(kernel, w.rows)) == 0, (record, k)
     assert balance.is_irreducible_maximal_length(w)
-    assert balance.positive_maximal_kernel(w.rows) == kernel
+    assert balance.positive_maximal_kernel(w) == kernel
     assert balance.phase_set(w).d == 2 * denominator
     winding = balance.winding_for_phase(w)
     solution = balance.solve_stabilizer(w, winding)

@@ -240,15 +240,17 @@ class TestIrreducibility:
         # The kernel of 64 rows in 20 dimensions has dimension 44 or more;
         # irreducibility and winding_for_phase each answer with one solve and
         # run no kernel computation beyond the cached basis.
-        import topophase.balance
+        import topophase
 
         def no_kernel(*args, **kwargs):
-            raise AssertionError("kernel_lattice called from balance")
+            raise AssertionError("kernel_lattice called past the cached basis")
 
-        monkeypatch.setattr(topophase.balance, "kernel_lattice", no_kernel)
         rng = random.Random(20)
         w = wm(support_state(20, [format(s, "020b") for s in rng.sample(range(2 ** 20), 64)]))
         assert len(w.kernel) >= 44
+        assert not hasattr(topophase.balance, "kernel_lattice")
+        for mod in (topophase.exactlinalg, topophase.states):
+            monkeypatch.setattr(mod, "kernel_lattice", no_kernel)
         res = irreducibility(w)
         assert not res.irreducible
         rows = [w.rows[i] for i in res.support]
@@ -274,7 +276,7 @@ class TestMaximalLength:
         rows = ((1, 1), (1, -1), (-1, 1))
         w = WeightMatrix(3, 2, rows)
         assert is_irreducible_maximal_length(w)
-        assert positive_maximal_kernel(rows) is None
+        assert positive_maximal_kernel(w) is None
 
     @pytest.mark.parametrize("n, supports", [(3, 35), (4, 1365)])
     def test_positive_kernel_matches_alternating_minors(self, n, supports):
@@ -291,9 +293,9 @@ class TestMaximalLength:
             expected = None
             if all(x > 0 for x in minors) or all(x < 0 for x in minors):
                 expected = tuple(abs(x) // gcd(*minors) for x in minors)
-            assert positive_maximal_kernel(rows) == expected, rows
-            # Expanding det [W | -1] along its last column sums the minors.
             w = WeightMatrix(n + 1, n, tuple(rows))
+            assert positive_maximal_kernel(w) == expected, rows
+            # Expanding det [W | -1] along its last column sums the minors.
             assert is_irreducible_maximal_length(w) == (sum(minors) != 0), rows
             count += 1
         assert count == supports
@@ -302,17 +304,17 @@ class TestMaximalLength:
         hits = 0
         for bits in combinations([format(i, "03b") for i in range(8)], 4):
             state = support_state(3, bits)
-            expected = positive_maximal_kernel(wm(state).rows) is not None
+            expected = positive_maximal_kernel(wm(state)) is not None
             assert classify(state).semistable_certified == expected, bits
             hits += expected
         assert hits > 0
 
     def test_positive_kernel_on_worked_states(self):
         assert positive_maximal_kernel(
-            wm(support_state(5, FIVE_QUBIT_MAXLEN_PI5)).rows
+            wm(support_state(5, FIVE_QUBIT_MAXLEN_PI5))
         ) == (3, 2, 2, 1, 1, 1)
         assert positive_maximal_kernel(
-            wm(support_state(7, SEVEN_QUBIT_PI18)).rows
+            wm(support_state(7, SEVEN_QUBIT_PI18))
         ) == (8, 7, 6, 5, 4, 3, 2, 1)
 
 
@@ -497,12 +499,13 @@ class TestPrintedThirdFiveQubitState:
         assert not irreducibility(w).irreducible
 
     def test_printed_selection_fails_uniqueness(self):
-        from topophase.search import uniqueness_check
+        from topophase.search import validate_structure
 
         printed_selection = CombinatorialStructure(
             5, (2, 1, 1, 1, 1), 2, ((0,), (1, 2), (2, 3), (3, 4), (1, 4))
         )
-        assert not uniqueness_check(printed_selection)
+        with pytest.raises(ValueError, match="uniquely"):
+            validate_structure(printed_selection)
         state = construct_state(printed_selection)
         assert list(state.support) == FIVE_QUBIT_PRINTED_THIRD
 
@@ -513,7 +516,7 @@ class TestPrintedThirdFiveQubitState:
         state = construct_state(structure)
         assert list(state.support) == FIVE_QUBIT_MAXLEN_PI4
         w = wm(state)
-        assert positive_maximal_kernel(w.rows) == (2, 2, 1, 1, 1, 1)
+        assert positive_maximal_kernel(w) == (2, 2, 1, 1, 1, 1)
         assert phase_set(w).chi_min == Fraction(1, 4)
 
 
@@ -544,19 +547,26 @@ class TestAnalysisReport:
     def counted_report(monkeypatch, state):
         # Wrap the functions in every module that imported them by name, as
         # the benchmark's tracer does: kernels of the full rows, and any
-        # determinant or simplex, are counted.
+        # determinant, solve, simplex or positive-kernel test, are counted.
         import topophase
 
         full_rows = wm(state).rows
-        calls = {"kernel_lattice": 0, "determinant": 0, "convex_feasible": 0}
+        owners = {
+            "kernel_lattice": topophase.exactlinalg,
+            "determinant": topophase.exactlinalg,
+            "convex_feasible": topophase.exactlinalg,
+            "solve_rational": topophase.exactlinalg,
+            "positive_maximal_kernel": topophase.balance,
+        }
+        calls = dict.fromkeys(owners, 0)
         modules = [mod for mod in vars(topophase).values() if isinstance(mod, ModuleType)]
-        for name in calls:
-            original = getattr(topophase.exactlinalg, name)
+        for name, owner in owners.items():
+            original = getattr(owner, name)
 
-            def counted(rows, _name=name, _original=original):
-                if _name != "kernel_lattice" or tuple(map(tuple, rows)) == full_rows:
+            def counted(*args, _name=name, _original=original):
+                if _name != "kernel_lattice" or tuple(map(tuple, args[0])) == full_rows:
                     calls[_name] += 1
-                return _original(rows)
+                return _original(*args)
 
             for mod in modules:
                 if getattr(mod, name, None) is original:
@@ -565,19 +575,23 @@ class TestAnalysisReport:
 
     def test_one_kernel_per_report(self, monkeypatch):
         # A kernel of dimension 1 also decides the convex certificate,
-        # without the simplex.
+        # without the simplex; semistability is one positive-kernel test.
         state = support_state(5, FIVE_QUBIT_MAXLEN_PI5)
         assert len(wm(state).kernel) == 1
         rep, calls = self.counted_report(monkeypatch, state)
         assert rep["maximal_length"] is True and rep["certificate_kind"] == "convex"
-        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 0}
+        assert rep["flags"]["semistable_certified"] is True
+        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 0,
+                         "solve_rational": 0, "positive_maximal_kernel": 1}
 
     def test_one_simplex_on_a_wider_kernel(self, monkeypatch):
         state = support_state(5, FIVE_QUBIT_PRINTED_THIRD)
         assert len(wm(state).kernel) == 2
         rep, calls = self.counted_report(monkeypatch, state)
         assert rep["certificate_kind"] == "convex"
-        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 1}
+        assert rep["flags"]["semistable_certified"] is False
+        assert calls == {"kernel_lattice": 1, "determinant": 0, "convex_feasible": 1,
+                         "solve_rational": 0, "positive_maximal_kernel": 1}
 
     def test_no_bipartition_scan(self, monkeypatch):
         # A 2^(n-1) split scan would not finish on either state; the

@@ -32,7 +32,7 @@ PUBLIC_NAMES = {
         "SEARCH_BATCH_SUMS", "SearchRecord", "SearchResult", "a_class_matrices",
         "brute_force_oracle", "completeness_bound", "enumerate_structures",
         "equal_sum_submultisets", "records_to_csv", "search_tables",
-        "table_one_denominators", "uniqueness_check", "validate_structure",
+        "table_one_denominators", "validate_structure",
     ),
     "stabilizers": (
         "DEFAULT_TOLERANCE", "MAX_DENSE_QUBITS", "SU2_TOLERANCE", "VerificationResult",

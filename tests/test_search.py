@@ -26,6 +26,7 @@ from conftest import (
     reference_a_classes,
     reference_brute_force_oracle,
     reference_multisets,
+    reference_uniqueness,
     sign_orbit,
 )
 from topophase.balance import (
@@ -37,6 +38,7 @@ from topophase.balance import (
     positive_maximal_kernel,
 )
 from topophase import search
+from topophase.exactlinalg import determinant
 from topophase.search import (
     MAX_SEARCH_QUBITS,
     ORACLE_MAX_QUBITS,
@@ -49,7 +51,6 @@ from topophase.search import (
     equal_sum_submultisets,
     records_to_csv,
     search_tables,
-    uniqueness_check,
     validate_structure,
 )
 from topophase.states import WeightMatrix, weight_matrix
@@ -127,20 +128,42 @@ class TestUniquenessCheck:
     def test_worked_seven_qubit_selection(self):
         from conftest import WORKED_SEVEN_QUBIT_STRUCTURE
 
-        assert uniqueness_check(WORKED_SEVEN_QUBIT_STRUCTURE)
+        validate_structure(WORKED_SEVEN_QUBIT_STRUCTURE)
+        assert determinant(WORKED_SEVEN_QUBIT_STRUCTURE.sign_matrix()) != 0
 
     def test_omitting_forced_patterns_fails(self):
         # Seven {3,1}-style patterns without {4} and {1,1,1,1}: the values are
         # not pinned down, and the sign matrix is singular.
         patterns = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5))
         structure = CombinatorialStructure(7, WORKED_SEVEN_QUBIT_MULTISET, 4, patterns)
-        assert not uniqueness_check(structure)
+        assert determinant(structure.sign_matrix()) == 0
+        with pytest.raises(ValueError, match="uniquely"):
+            validate_structure(structure)
 
     def test_identical_patterns_fail(self):
         structure = CombinatorialStructure(
             3, (1, 1, 1), 1, ((0,), (0,), (1,))
         )
-        assert not uniqueness_check(structure)
+        assert determinant(structure.sign_matrix()) == 0
+
+    def test_nonsingular_iff_solve_reproduces_multiset(self):
+        # Every n-subset of the equal-sum patterns of each bucket with a
+        # gcd-1 multiset of total at most 3n and c0 > 0: a nonzero sign
+        # determinant agrees with the solve-and-compare reference.
+        counts = {True: 0, False: 0}
+        for n in (3, 4, 5):
+            for total in range(n, 3 * n + 1):
+                for multiset in partitions_fixed_length(total, n):
+                    if gcd(*multiset) != 1:
+                        continue
+                    for z in range(1, (total + 1) // 2):
+                        masks = equal_sum_submultisets(multiset, z)
+                        for selection in combinations(masks, n):
+                            structure = CombinatorialStructure(n, multiset, z, selection)
+                            unique = reference_uniqueness(structure)
+                            assert (determinant(structure.sign_matrix()) != 0) == unique
+                            counts[unique] += 1
+        assert counts[True] and counts[False], counts
 
     def test_validate_structure_messages(self):
         with pytest.raises(ValueError, match="uniquely"):
@@ -251,7 +274,7 @@ class TestSearchTables:
         state = construct_state(structure)
         w = weight_matrix(state)
         assert is_irreducible_maximal_length(w)
-        assert positive_maximal_kernel(w.rows) == (2, 2, 2, 1, 1, 1, 1)
+        assert positive_maximal_kernel(w) == (2, 2, 2, 1, 1, 1, 1)
         assert phase_set(w).d == 10
 
     @pytest.mark.parametrize("workers", [0, -2])
@@ -819,7 +842,7 @@ class TestOracle:
             expected, singular = set(), 0
             for support in supports:
                 signs = [tuple(1 - 2 * (m + 1 >> j & 1) for j in range(n)) for m in support]
-                vec = positive_maximal_kernel([(1,) * n, *signs])
+                vec = positive_maximal_kernel(WeightMatrix(n + 1, n, ((1,) * n, *signs)))
                 own = {search._record_from_kernel(vec)} - {None} if vec else set()
                 assert search._support_records(n, np.array([support])) == own, support
                 expected |= own
@@ -866,8 +889,8 @@ class TestOracle:
             n = rng.choice((3, 4))
             pool = list(product((1, -1), repeat=n))
             rows = tuple(rng.sample(pool, n + 1))
-            fast = positive_maximal_kernel(rows)
             w = WeightMatrix(n + 1, n, rows)
+            fast = positive_maximal_kernel(w)
             if not is_irreducible_maximal_length(w):
                 slow = None
             else:
