@@ -276,6 +276,10 @@ def cmd_verify(args) -> int:
     if args.winding is not None and not args.derive:
         raise ParseFailure("--winding applies only with --derive")
     state = _load_state(args.state)
+    # A malformed --winding is a usage error (exit 1) before any analysis.
+    winding = _int_list(args.winding) if args.winding is not None else [1] + [0] * (state.m - 1)
+    if len(winding) != state.m:
+        raise ParseFailure(f"--winding needs {state.m} integers")
 
     if args.derive:
         w = states.weight_matrix(state)
@@ -283,9 +287,6 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 "continuous phase family; no topological phase in this basis"
             )
-        winding = _int_list(args.winding) if args.winding is not None else [1] + [0] * (state.m - 1)
-        if len(winding) != state.m:
-            raise ParseFailure(f"--winding needs {state.m} integers")
         solution = balance.solve_stabilizer(w, winding)
         if solution is None:
             raise ValueError(

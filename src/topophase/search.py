@@ -114,7 +114,6 @@ RANK_PRIME = 2 ** 31 - 1
 MAX_SEARCH_QUBITS = 22
 # Most work `a_class_matrices` takes on: C(masks, n) + |G| * masks.
 A_CLASS_WORK_LIMIT = 10 ** 7
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -272,11 +271,6 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
                           np.arange(n, dtype=np.int32))
     bits &= 1
     return bits
-
-
-def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
-    """The number of set bits of each entry of an array of masks below 2^n."""
-    return sum(_BYTE_POPCOUNT[masks >> shift & 255] for shift in range(0, n, 8))
 
 
 def _map_stripes(func: Callable, tasks: Sequence, workers: int) -> list:
@@ -483,7 +477,7 @@ def _run_counts(values: np.ndarray, masks: np.ndarray, rows: np.ndarray, width: 
     row, col = np.nonzero(new_run)
     first[row, run_of[row, col]] = col  # first[k, i]: run i's first position
     runs_mask = (1 << first[:, 1:]) - (1 << first[:, :-1])
-    return _popcount(masks[:, None] & runs_mask[rows, :width], values.shape[1])
+    return np.bitwise_count(masks[:, None] & runs_mask[rows, :width])
 
 
 def _bucket_members(keys: np.ndarray, members: np.ndarray, buckets: np.ndarray,
@@ -573,19 +567,6 @@ def search_tables(n: int, sum_bound: Optional[int] = None, workers: int = 1) -> 
         multisets_scanned=sum(scanned for _, scanned, _ in parts),
         rank_tests=sum(tests for _, _, tests in parts),
     )
-
-
-def table_one_denominators(n: int) -> tuple[int, ...]:
-    """chi_min denominators available to n qubits: the union over maximal
-    length structures at k = 3..n plus the two-qubit pi (denominator 1).
-    Each k is scanned to the default 4k, so the union is provably
-    complete only through n = 7."""
-    if n < 2:
-        raise ValueError("phase tables start at two qubits")
-    denoms = {1}
-    for k in range(3, n + 1):
-        denoms.update(search_tables(k).denominators)
-    return tuple(sorted(denoms))
 
 
 def validate_structure(structure: CombinatorialStructure) -> None:

@@ -2,10 +2,10 @@
 
 Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to
 DEFAULT_TOLERANCE, each operator first in SU(2) to SU2_TOLERANCE; both
-bounds are fixed, since the residual measures float rounding only.  A
-monomial operator (every factor diagonal or antidiagonal, as the CLI
-builds) is applied term by term in O(n*m), any other to the dense 2^n
-vector, up to MAX_DENSE_QUBITS qubits.  Eigenbasis convention
+bounds are fixed, since the residual measures float rounding only.  Every
+factor must be diagonal or antidiagonal (a monomial operator, as the CLI
+builds), and U is applied term by term in O(n*m) at any n; any other
+factor is refused with a ValueError.  Eigenbasis convention
 throughout: |1> is the +1 eigenvector of a diagonal stabilizer, carrying
 e^{+i phi}; this matches the weight-matrix convention bit 1 -> +1, so the
 exact rational solutions produced by the balance analysis verify directly.
@@ -22,7 +22,6 @@ import numpy as np
 
 from .states import SparseState
 
-MAX_DENSE_QUBITS = 20
 DEFAULT_TOLERANCE = 1e-9
 SU2_TOLERANCE = 1e-12
 
@@ -85,8 +84,8 @@ def assert_special_unitary(unitaries: Sequence[np.ndarray]) -> None:
 def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """The n local operators applied to a dense 2^n vector, qubit 0 first.
 
-    The CLI never reaches it, since its operators are monomial; `verify`
-    keeps it as the path for any other operator the library accepts.
+    Nothing in the package calls it: it is the tests' dense reference for
+    `verify`, kept here while the benchmark's trace list names it.
     """
     n = len(unitaries)
     psi = np.asarray(vec, dtype=complex).reshape((2,) * n)
@@ -95,55 +94,42 @@ def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> n
     return psi.reshape(-1)
 
 
-def _apply_monomial(terms, unitaries):
-    """(psi, U psi) over the union of both supports in ascending dense index,
-    or None unless every factor is diagonal (f = 0) or antidiagonal (f = 1).
-    Each factor maps bit b to b ^ f with entry u[b ^ f, b] (its other entry
-    in column b is 0); the entries multiply in qubit order, as
-    `apply_local_unitaries` applies them."""
-    flips, entries = 0, []
-    for u in unitaries:
-        f = next((g for g in (0, 1) if u[1 - g, 0] == 0 and u[g, 1] == 0), None)
-        if f is None:
-            return None
-        flips = flips << 1 | f
-        entries.append((complex(u[f, 0]), complex(u[1 - f, 1])))
-    inputs, outputs = {}, {}
-    for bits, amp in terms:
-        inputs[int(bits, 2)] = amp
-        for pair, ch in zip(entries, bits):
-            amp *= pair[ch == "1"]
-        outputs[int(bits, 2) ^ flips] = amp
-    union = sorted(inputs.keys() | outputs.keys())
-    return tuple(np.array([side.get(i, 0) for i in union], dtype=complex)
-                 for side in (inputs, outputs))
-
-
 def verify(state: SparseState, unitaries: Sequence[np.ndarray]) -> VerificationResult:
-    """Check U|psi> = e^{i chi}|psi>: term by term for a monomial U, else by
-    dense tensor contraction, up to MAX_DENSE_QUBITS qubits.
+    """Check U|psi> = e^{i chi}|psi> term by term, for U whose every factor
+    is diagonal or antidiagonal; any other factor raises ValueError.
 
-    chi is extracted from the amplitude ratio at the largest-magnitude input
-    amplitude (ties to the smallest dense index), and is 0.0, with no match,
-    where U|psi> vanishes there.  The residual max|U psi - e^{i chi} psi|,
-    over the union of both supports, must be at most DEFAULT_TOLERANCE after
-    every amplitude is divided by the largest real or imaginary part (as in
+    Factor k maps bit b to b ^ f (f = 0 diagonal, 1 antidiagonal) with
+    entry u[b ^ f, b]; the entries multiply in qubit order, as
+    `apply_local_unitaries` applies them.  chi is extracted from the
+    amplitude ratio at the largest-magnitude input amplitude (ties to the
+    smallest dense index), and is 0.0, with no match, where U|psi> vanishes
+    there.  The residual max|U psi - e^{i chi} psi|, over the union of both
+    supports, must be at most DEFAULT_TOLERANCE after every amplitude is
+    divided by the largest real or imaginary part (as in
     `states.product_factors`), so the result does not depend on the input's
     global phase or normalization and nothing overflows.
     """
     if len(unitaries) != state.n:
         raise ValueError(f"need {state.n} local operators, got {len(unitaries)}")
     assert_special_unitary(unitaries)
-    # Scale the m terms: dividing the dense vector would write all 2^n entries.
+    flips, entries = 0, []
+    for u in unitaries:
+        f = next((g for g in (0, 1) if u[1 - g, 0] == 0 and u[g, 1] == 0), None)
+        if f is None:
+            raise ValueError("verify applies only diagonal or antidiagonal factors")
+        flips = flips << 1 | f
+        entries.append((complex(u[f, 0]), complex(u[1 - f, 1])))
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
-    terms = tuple((b, amp / scale) for b, amp in state.terms)
-    applied = _apply_monomial(terms, unitaries)
-    if applied is None:
-        if state.n > MAX_DENSE_QUBITS:
-            raise ValueError(f"dense verification capped at {MAX_DENSE_QUBITS} qubits")
-        vec = SparseState(state.n, terms).dense()
-        applied = vec, apply_local_unitaries(vec, unitaries)
-    vec, out = applied
+    inputs, outputs = {}, {}
+    for bits, amp in state.terms:
+        amp /= scale
+        inputs[int(bits, 2)] = amp
+        for pair, ch in zip(entries, bits):
+            amp *= pair[ch == "1"]
+        outputs[int(bits, 2) ^ flips] = amp
+    union = sorted(inputs.keys() | outputs.keys())
+    vec, out = (np.array([side.get(i, 0) for i in union], dtype=complex)
+                for side in (inputs, outputs))
     anchor = int(np.argmax(np.abs(vec)))
     chi = wrap_angle(cmath.phase(out[anchor] / vec[anchor])) if out[anchor] else 0.0
     residual = float(np.max(np.abs(out - cmath.exp(1j * chi) * vec)))

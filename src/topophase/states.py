@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from .exactlinalg import kernel_lattice
 
 PRODUCT_RANK_TOLERANCE = 1e-9
@@ -57,13 +55,6 @@ class SparseState:
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(bits for bits, _ in self.terms)
-
-    def dense(self) -> np.ndarray:
-        """Amplitude vector of length 2^n, bit 0 of the string most significant."""
-        vec = np.zeros(2 ** self.n, dtype=complex)
-        for bits, amp in self.terms:
-            vec[int(bits, 2)] = amp
-        return vec
 
 
 @dataclass(frozen=True)

@@ -229,12 +229,20 @@ def reference_assert_special_unitary(unitaries):
             raise ValueError(f"operator {k} has determinant != 1")
 
 
+def dense_vector(state):
+    """Amplitude vector of length 2^n, bit 0 of the string most significant."""
+    vec = np.zeros(2 ** state.n, dtype=complex)
+    for bits, amp in state.terms:
+        vec[int(bits, 2)] = amp
+    return vec
+
+
 def dense_verify(state, unitaries):
     """Reference for `stabilizers.verify`: (chi, residual) from the dense
     2^n vector, scaled by the largest real or imaginary part, with chi read
     at the first largest-magnitude amplitude."""
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
-    vec = SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)).dense()
+    vec = dense_vector(SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)))
     out = apply_local_unitaries(vec, unitaries)
     anchor = int(np.argmax(np.abs(vec)))
     # chi is 0.0 where U psi vanishes at the anchor, as `verify` defines it.

@@ -1,12 +1,14 @@
 """The paper's closed forms that the tests compare the program against: the
-W-type supports, the five stabilizer families of known phase, and
-telescoping by one appended qubit.  The library itself never builds them.
+W-type supports, the five stabilizer families of known phase, telescoping
+by one appended qubit, and Table I's denominators for n qubits.  The
+library itself never builds them.
 
 Each family returns (state, local operators, expected chi in (-pi, pi]).
 """
 
 import math
 
+from topophase.search import search_tables
 from topophase.stabilizers import antidiagonal_stabilizer, diagonal_stabilizer, wrap_angle
 from topophase.states import SparseState, ghz_state, support_state
 
@@ -70,3 +72,16 @@ def append_column(state, column):
     terms = tuple((bits + ("1" if c == 1 else "0"), amp)
                   for (bits, amp), c in zip(state.terms, column))
     return SparseState(state.n + 1, terms)
+
+
+def table_one_denominators(n):
+    """chi_min denominators available to n qubits: the union over maximal
+    length structures at k = 3..n plus the two-qubit pi (denominator 1).
+    Each k is scanned to the default 4k, so the union is provably
+    complete only through n = 7."""
+    if n < 2:
+        raise ValueError("phase tables start at two qubits")
+    denoms = {1}
+    for k in range(3, n + 1):
+        denoms.update(search_tables(k).denominators)
+    return tuple(sorted(denoms))

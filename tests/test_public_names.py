@@ -31,11 +31,10 @@ PUBLIC_NAMES = {
         "ORACLE_BLOCK_SUPPORTS", "ORACLE_CHUNK_SUPPORTS", "ORACLE_MAX_QUBITS", "RANK_PRIME",
         "SEARCH_BATCH_SUMS", "SearchRecord", "SearchResult", "a_class_matrices",
         "brute_force_oracle", "completeness_bound", "enumerate_structures",
-        "equal_sum_submultisets", "records_to_csv", "search_tables",
-        "table_one_denominators", "validate_structure",
+        "equal_sum_submultisets", "records_to_csv", "search_tables", "validate_structure",
     ),
     "stabilizers": (
-        "DEFAULT_TOLERANCE", "MAX_DENSE_QUBITS", "SU2_TOLERANCE", "VerificationResult",
+        "DEFAULT_TOLERANCE", "SU2_TOLERANCE", "VerificationResult",
         "antidiagonal_stabilizer", "apply_local_unitaries", "assert_special_unitary",
         "diagonal_stabilizer", "verify", "wrap_angle",
     ),
