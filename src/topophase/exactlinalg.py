@@ -25,7 +25,9 @@ eliminates modulo a prime in numpy.  One bucket helper, `search._bucket_pivots`,
 feeds it both the count vectors of each bucket's canonical masks, for the
 search, and the 0/1 masks of the admitted buckets alone, whose pivot rows are
 `enumerate_structures`' witness patterns; `a_class_matrices` runs it on its
-selections.
+selections.  The oracle's exact kernel, the int16 Laplace expansion of
+`search._support_records`, is kept apart from all three on purpose: the
+oracle must share nothing with the search it checks.
 
 Everything is arbitrary precision; no floating point anywhere.  Matrices are
 passed around as sequences of equal-length integer rows; the public

@@ -642,8 +642,9 @@ def _support_records(n: int, supports: np.ndarray) -> set[SearchRecord]:
     ORACLE_BLOCK_SUPPORTS supports.  A j x j 0/1 minor is at most
     h(j) = (j+1)^((j+1)/2) / 2^j in absolute value (Hadamard, on the +-1
     matrix of order j + 1 that borders it), so a partial sum of layer j + 1
-    is at most (j+1) h(j) <= 41 for j < n <= ORACLE_MAX_QUBITS, and
-    |c0| <= (n+2) h(n) <= 113: int16 holds every value exactly.
+    is at most (j+1) h(j) <= 8 * 32 = 256 for j < n <= 8, and
+    |c0| <= (n+2) h(n) <= 769: int16 holds every value exactly up to n = 8,
+    beyond the full scan's ORACLE_MAX_QUBITS.
     """
     tables = _laplace_tables(n)
     masks = np.empty((n + 1, len(supports)), dtype=np.int16)

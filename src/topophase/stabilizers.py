@@ -1,14 +1,13 @@
 """Numerical verification of stabilizer eigenphase relations.
 
-Materializes local SU(2) operators and checks U|psi> = e^{i chi}|psi> to
-DEFAULT_TOLERANCE, each operator first in SU(2) to SU2_TOLERANCE; both
-bounds are fixed, since the residual measures float rounding only.  Every
-factor must be diagonal or antidiagonal (a monomial operator, as the CLI
-builds), and U is applied term by term in O(n*m) at any n; any other
-factor is refused with a ValueError.  Eigenbasis convention
-throughout: |1> is the +1 eigenvector of a diagonal stabilizer, carrying
-e^{+i phi}; this matches the weight-matrix convention bit 1 -> +1, so the
-exact rational solutions produced by the balance analysis verify directly.
+Checks U|psi> = e^{i chi}|psi> to DEFAULT_TOLERANCE, term by term in O(n*m)
+at any n, for local factors that are diagonal or antidiagonal (monomial, as
+the CLI builds).  Each factor is read once: checked in SU(2) to
+SU2_TOLERANCE in closed form, then decoded; any other factor is refused with
+a ValueError.  Both bounds are fixed: the residual measures float rounding
+only.  Eigenbasis convention: |1> is the +1 eigenvector of a diagonal
+stabilizer, carrying e^{+i phi}, as bit 1 is +1 in the weight matrix, so the
+balance analysis's exact rational solutions verify directly.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ def antidiagonal_stabilizer(deltas: Sequence[float]) -> list[np.ndarray]:
     ]
 
 
-def assert_special_unitary(unitaries: Sequence[np.ndarray]) -> None:
-    """Raise ValueError unless every operator is a 2x2 matrix in SU(2) to
-    SU2_TOLERANCE.
-
-    Each operator ``[[a, b], [c, d]]`` is checked in closed form, in Python
-    complex arithmetic: every entry of ``u^H u - I`` and then ``ad - bc - 1``
-    must have modulus at most SU2_TOLERANCE.  Each test reads
-    ``not (err <= SU2_TOLERANCE)``, so an operator with a NaN or infinite
-    entry is refused, as not unitary.
-    """
-    for k, u in enumerate(unitaries):
-        if u.shape != (2, 2):
-            raise ValueError(f"operator {k} is not 2x2")
-        (a, b), (c, d) = u.tolist()
-        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        gram = (ac * a + cc * c - 1, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1)
-        if not all(abs(e) <= SU2_TOLERANCE for e in gram):
-            raise ValueError(f"operator {k} is not unitary to {SU2_TOLERANCE}")
-        if not abs(a * d - b * c - 1) <= SU2_TOLERANCE:
-            raise ValueError(f"operator {k} has determinant != 1")
-
-
 def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """The n local operators applied to a dense 2^n vector, qubit 0 first.
 
@@ -96,29 +73,42 @@ def apply_local_unitaries(vec: np.ndarray, unitaries: Sequence[np.ndarray]) -> n
 
 def verify(state: SparseState, unitaries: Sequence[np.ndarray]) -> VerificationResult:
     """Check U|psi> = e^{i chi}|psi> term by term, for U whose every factor
-    is diagonal or antidiagonal; any other factor raises ValueError.
+    is diagonal or antidiagonal.
 
-    Factor k maps bit b to b ^ f (f = 0 diagonal, 1 antidiagonal) with
-    entry u[b ^ f, b]; the entries multiply in qubit order, as
-    `apply_local_unitaries` applies them.  chi is extracted from the
-    amplitude ratio at the largest-magnitude input amplitude (ties to the
-    smallest dense index), and is 0.0, with no match, where U|psi> vanishes
-    there.  The residual max|U psi - e^{i chi} psi|, over the union of both
-    supports, must be at most DEFAULT_TOLERANCE after every amplitude is
-    divided by the largest real or imaginary part (as in
-    `states.product_factors`), so the result does not depend on the input's
-    global phase or normalization and nothing overflows.
+    Each factor [[a, b], [c, d]] is read once and checked in SU(2) in closed
+    form, in Python complex arithmetic: each entry of u^H u - I, then
+    ad - bc - 1, must pass ``abs(err) <= SU2_TOLERANCE``, so a NaN or
+    infinite entry is refused as not unitary.  A factor that is neither
+    diagonal nor antidiagonal is refused only after every factor passes.
+    Factor k maps bit b to b ^ f (f = 0 diagonal, 1 antidiagonal) with entry
+    u[b ^ f, b], multiplied in qubit order as in `apply_local_unitaries`.
+    chi is read at the largest input amplitude (ties to the smallest dense
+    index), and is 0.0, with no match, where U|psi> vanishes there.  The
+    residual max|U psi - e^{i chi} psi| over both supports must be at most
+    DEFAULT_TOLERANCE once every amplitude is divided by the largest real or
+    imaginary part, so neither global phase nor normalization matters.
     """
     if len(unitaries) != state.n:
         raise ValueError(f"need {state.n} local operators, got {len(unitaries)}")
-    assert_special_unitary(unitaries)
     flips, entries = 0, []
-    for u in unitaries:
-        f = next((g for g in (0, 1) if u[1 - g, 0] == 0 and u[g, 1] == 0), None)
-        if f is None:
-            raise ValueError("verify applies only diagonal or antidiagonal factors")
-        flips = flips << 1 | f
-        entries.append((complex(u[f, 0]), complex(u[1 - f, 1])))
+    for k, u in enumerate(unitaries):
+        if u.shape != (2, 2):
+            raise ValueError(f"operator {k} is not 2x2")
+        (a, b), (c, d) = u.tolist()
+        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        gram = (ac * a + cc * c - 1, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1)
+        if not all(abs(e) <= SU2_TOLERANCE for e in gram):
+            raise ValueError(f"operator {k} is not unitary to {SU2_TOLERANCE}")
+        if not abs(a * d - b * c - 1) <= SU2_TOLERANCE:
+            raise ValueError(f"operator {k} has determinant != 1")
+        flips <<= 1
+        if b == c == 0:
+            entries.append((complex(a), complex(d)))
+        elif a == d == 0:
+            flips |= 1
+            entries.append((complex(c), complex(b)))
+    if len(entries) < len(unitaries):
+        raise ValueError("verify applies only diagonal or antidiagonal factors")
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
     inputs, outputs = {}, {}
     for bits, amp in state.terms:

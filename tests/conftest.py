@@ -215,11 +215,11 @@ def random_su2(rng):
 
 
 def reference_assert_special_unitary(unitaries):
-    """Reference for `stabilizers.assert_special_unitary`: the numpy
-    formulation, with a matmul, an identity and a LAPACK determinant per
-    operator.  Its ``> SU2_TOLERANCE`` tests are False for NaN, so unlike
-    the closed form it accepts a non-finite operator; compare the two on
-    finite ones."""
+    """Reference for the SU(2) check that `stabilizers.verify` runs on each
+    factor: the numpy formulation, with a matmul, an identity and a LAPACK
+    determinant per operator.  Its ``> SU2_TOLERANCE`` tests are False for
+    NaN, so unlike the closed form it accepts a non-finite operator; compare
+    the two on finite ones."""
     for k, u in enumerate(unitaries):
         if u.shape != (2, 2):
             raise ValueError(f"operator {k} is not 2x2")

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -116,6 +118,83 @@ json_values = st.recursive(
                    | st.dictionaries(st.integers() | st.floats() | st.booleans(), inner, max_size=6)),
     max_leaves=20,
 )
+
+
+STATE_FAULTS = ("none", "document", "no_n", "no_terms", "n", "terms", "term", "no_bits", "bits",
+                "bits_length", "bits_chars", "duplicate", "amp", "amp_entry", "amp_length",
+                "truncate")
+
+
+@st.composite
+def malformed_state_texts(draw):
+    """A valid state file of at most five qubits and six terms with one fault,
+    or none: a non-object document, a missing or wrongly typed `n`, `terms`,
+    term, `bits` or `amp`, a wrong-length or non-0/1 bitstring, a duplicate
+    bitstring, an `amp` entry that is a string, a bool or +-1e308, an `amp`
+    of the wrong length, or JSON cut short.  Returns the text and the qubit
+    count of the valid file."""
+    n = draw(st.integers(1, 5))
+    bitstrings = st.text("01", min_size=n, max_size=n)
+    terms = [{"bits": bits} for bits in draw(st.lists(bitstrings, min_size=1, max_size=6,
+                                                       unique=True))]
+    for term in terms:
+        if draw(st.booleans()):
+            term["amp"] = draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2))
+    doc = {"n": n, "terms": terms}
+    wrong = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+             | st.lists(st.integers(0, 1), max_size=2) | st.just({}))
+    fault, term = draw(st.sampled_from(STATE_FAULTS)), draw(st.sampled_from(terms))
+    if fault == "document":
+        doc = draw(wrong)
+    elif fault in ("no_n", "no_terms"):
+        del doc[fault[3:]]
+    elif fault in ("n", "terms"):
+        doc[fault] = draw(wrong | st.integers(-1, 7) | st.just([]))
+    elif fault == "term":
+        terms[terms.index(term)] = draw(wrong)
+    elif fault == "no_bits":
+        del term["bits"]
+    elif fault.startswith("bits"):
+        term["bits"] = draw({"bits": wrong | st.integers(0, 3),
+                             "bits_length": st.text("01", max_size=n + 2),
+                             "bits_chars": st.text("01x2 ", min_size=n, max_size=n)}[fault])
+    elif fault == "duplicate":
+        terms.append(term)
+    elif fault == "amp":
+        term["amp"] = draw(wrong)
+    elif fault == "amp_entry":
+        entry = draw(st.sampled_from(["1", "nan", "", True, False, 1e308, -1e308]))
+        term["amp"] = draw(st.permutations([entry, draw(st.floats(-2, 2))]))
+    elif fault == "amp_length":
+        term["amp"] = draw(st.lists(st.floats(-2, 2), max_size=3).filter(lambda v: len(v) != 2))
+    text = json.dumps(doc)
+    if fault == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text, n
+
+
+class TestMalformedStateFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(malformed_state_texts())
+    def test_every_command_exits_cleanly(self, tmp_path_factory, case):
+        # Each run exits 0-3; a nonzero exit writes one stderr line and no
+        # traceback (any exception fails the test, and so does any warning).
+        text, n = case
+        path = tmp_path_factory.getbasetemp() / "malformed.json"
+        path.write_text(text)
+        angles = ",".join(["1/3"] * n)
+        for argv in (["analyze"], ["verify", "--derive"], ["verify", f"--phis={angles}"],
+                     ["verify", f"--antidiag={angles}"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in (0, 1, 2, 3), (argv, text)
+            if code:
+                message = err.getvalue()
+                assert message.startswith("topophase: ") and message.count("\n") == 1, (argv, text)
+                assert "Traceback" not in message
+            else:
+                assert err.getvalue() == "", (argv, text)
 
 
 class TestRender:

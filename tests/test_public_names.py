@@ -35,8 +35,8 @@ PUBLIC_NAMES = {
     ),
     "stabilizers": (
         "DEFAULT_TOLERANCE", "SU2_TOLERANCE", "VerificationResult",
-        "antidiagonal_stabilizer", "apply_local_unitaries", "assert_special_unitary",
-        "diagonal_stabilizer", "verify", "wrap_angle",
+        "antidiagonal_stabilizer", "apply_local_unitaries", "diagonal_stabilizer",
+        "verify", "wrap_angle",
     ),
     "states": (
         "PRODUCT_RANK_TOLERANCE", "SparseState", "WeightMatrix", "bipartition_product_check",

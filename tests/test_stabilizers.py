@@ -32,9 +32,9 @@ from topophase.balance import phase_set, solve_stabilizer, winding_for_phase
 from topophase.stabilizers import (
     DEFAULT_TOLERANCE,
     SU2_TOLERANCE,
+    VerificationResult,
     antidiagonal_stabilizer,
     apply_local_unitaries,
-    assert_special_unitary,
     diagonal_stabilizer,
     verify,
     wrap_angle,
@@ -53,12 +53,20 @@ def angles_close(a, b):
     return abs(wrap_angle(a - b)) <= DEFAULT_TOLERANCE
 
 
+NON_MONOMIAL = "verify applies only diagonal or antidiagonal factors"
+
+
 class TestOperators:
+    """`verify` checks each factor in SU(2) as it reads it, before any
+    factor that is neither diagonal nor antidiagonal is refused."""
+
     def test_diagonal_special_unitary(self):
-        assert_special_unitary(diagonal_stabilizer([0.3, -1.2, math.pi / 2]))
+        result = verify(ghz_state(3), diagonal_stabilizer([0.3, -1.2, math.pi / 2]))
+        assert isinstance(result, VerificationResult)
 
     def test_antidiagonal_special_unitary(self):
-        assert_special_unitary(antidiagonal_stabilizer([0.0, 0.7, -2.0]))
+        result = verify(ghz_state(3), antidiagonal_stabilizer([0.0, 0.7, -2.0]))
+        assert isinstance(result, VerificationResult)
 
     def test_zero_angles_identity(self):
         for u in diagonal_stabilizer([0.0, 0.0]):
@@ -70,21 +78,29 @@ class TestOperators:
         assert cmath.isclose(u[0][0], cmath.exp(-0.4j))
 
     def test_random_su2_is_special_unitary(self):
+        # A Haar-random SU(2) factor passes the SU(2) check and is refused
+        # only as non-monomial.
         rng = np.random.default_rng(3)
-        assert_special_unitary([random_su2(rng) for _ in range(20)])
+        with pytest.raises(ValueError) as caught:
+            verify(ghz_state(20), [random_su2(rng) for _ in range(20)])
+        assert str(caught.value) == NON_MONOMIAL
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            assert_special_unitary([np.array([[1.0, 0.0], [0.0, 2.0]])])
+        with pytest.raises(ValueError, match="operator 0 is not unitary"):
+            verify(ghz_state(1), [np.array([[1.0, 0.0], [0.0, 2.0]])])
 
     def test_determinant_minus_one_rejected(self):
-        # Pauli X is unitary, with determinant -1.
-        with pytest.raises(ValueError, match="operator 1 has determinant"):
-            assert_special_unitary([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+        # Pauli X is unitary, with determinant -1.  It is refused before an
+        # earlier factor that is neither diagonal nor antidiagonal.
+        pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
+        for first in (np.eye(2), rotation):
+            with pytest.raises(ValueError, match="operator 1 has determinant"):
+                verify(ghz_state(2), [first, pauli_x])
 
     def test_not_2x2_rejected(self):
         with pytest.raises(ValueError, match="operator 0 is not 2x2"):
-            assert_special_unitary([np.eye(3)])
+            verify(ghz_state(1), [np.eye(3)])
 
     @pytest.mark.parametrize("entries", [
         [[math.nan, 0.0], [0.0, math.nan]],
@@ -94,7 +110,7 @@ class TestOperators:
     def test_non_finite_rejected(self, entries):
         u = np.array(entries, dtype=complex)
         with pytest.raises(ValueError, match="operator 0 is not unitary"):
-            assert_special_unitary([u])
+            verify(ghz_state(1), [u])
         with pytest.raises(ValueError, match="not unitary"):
             verify(ghz_state(3), [u] * 3)
 
@@ -102,7 +118,8 @@ class TestOperators:
     @given(st.lists(
         st.tuples(
             st.integers(0, 2**32 - 1),
-            st.sampled_from(("su2", "phase", "scale", "shear")),
+            st.sampled_from(("su2", "diag", "antidiag")),
+            st.sampled_from(("none", "phase", "scale", "shear")),
             st.sampled_from((1, -1)),
             # log10 of the defect: below SU2_TOLERANCE / 10 (the scale's
             # defect is about twice its size), or above 10 * SU2_TOLERANCE.
@@ -112,13 +129,20 @@ class TestOperators:
         max_size=4,
     ))
     def test_matches_numpy_reference(self, draws):
-        # A Haar-random SU(2), alone, times a phase e^{i theta / 2} (a U(2)
-        # with determinant e^{i theta}), a scale 1 + eps, or a shear
-        # [[1, eps], [0, 1]] (determinant 1, columns not orthogonal); both
-        # refuse or accept the same list, with the same message.
+        # A Haar-random SU(2), or a diagonal or antidiagonal one of a random
+        # angle, alone, times a phase e^{i theta / 2} (a U(2) with
+        # determinant e^{i theta}), a scale 1 + eps, or a shear
+        # [[1, eps], [0, 1]] (determinant 1, columns not orthogonal).  Where
+        # the reference refuses, verify raises the same message; otherwise it
+        # refuses a non-monomial list as such and verifies a monomial one.
         ops = []
-        for seed, kind, sign, exponent in draws:
-            u = random_su2(np.random.default_rng(seed))
+        for seed, base, kind, sign, exponent in draws:
+            rng = np.random.default_rng(seed)
+            if base == "su2":
+                u = random_su2(rng)
+            else:
+                build = diagonal_stabilizer if base == "diag" else antidiagonal_stabilizer
+                (u,) = build([rng.uniform(-math.pi, math.pi)])
             size = sign * 10.0 ** exponent
             if kind == "phase":
                 u = u * cmath.exp(0.5j * size)
@@ -127,14 +151,22 @@ class TestOperators:
             elif kind == "shear":
                 u = u @ np.array([[1.0, size], [0.0, 1.0]])
             ops.append(u)
+        state = ghz_state(len(ops))
+        monomial = all((u[0, 1] == 0 and u[1, 0] == 0) or (u[0, 0] == 0 and u[1, 1] == 0)
+                       for u in ops)
         try:
             reference_assert_special_unitary(ops)
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                assert_special_unitary(ops)
+                verify(state, ops)
             assert str(caught.value) == str(exc)
         else:
-            assert_special_unitary(ops)
+            if monomial:
+                assert isinstance(verify(state, ops), VerificationResult)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    verify(state, ops)
+                assert str(caught.value) == NON_MONOMIAL
 
 
 class TestVerify:
