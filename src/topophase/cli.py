@@ -6,6 +6,10 @@ verification residuals are floating point.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
 3 verification mismatch.
+
+Only `search` and `stabilizers` import numpy, and each command imports them
+when it runs: `search`, `construct`, `verify` and `oracle-check` load numpy,
+while `analyze`, `--help` and `build_parser()` do not.
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import balance, search, stabilizers, states
+from . import balance, states
+
+if TYPE_CHECKING:
+    from . import search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,6 +189,7 @@ def _records_json(result: search.SearchResult, a_classes: bool) -> str:
     """The search JSON's records array, byte for byte as `_dump` lays it out at
     its place in the document: one %-template per record, with the record's
     A-class matrices (laid out by `_render`) when `a_classes` is set."""
+    from . import search
     template = ('{\n      "Z": %d,%s\n      "chi_min_denominator": %d,\n      "multiset": ['
                 + "\n        %d," * result.n)[:-1] + "\n      ]\n    }"
     entries = []
@@ -213,6 +221,7 @@ def _search_json(result: search.SearchResult, a_classes: bool, bound_source: str
 
 
 def cmd_search(args) -> int:
+    from . import search
     result = search.search_tables(args.n, args.bound, workers=args.workers)
     base = args.out or f"search_n{args.n}"
     texts = {
@@ -241,6 +250,7 @@ def _int_array(value, what: str) -> list[int]:
 
 
 def _structure_from_doc(doc) -> search.CombinatorialStructure:
+    from . import search
     if not isinstance(doc, dict) or not {"multiset", "Z", "patterns"} <= set(doc):
         raise ParseFailure("structure document needs 'multiset', 'Z' and 'patterns'")
     multiset = tuple(_int_array(doc["multiset"], "'multiset'"))
@@ -256,6 +266,7 @@ def _structure_from_doc(doc) -> search.CombinatorialStructure:
 
 
 def cmd_construct(args) -> int:
+    from . import search
     try:
         with open(args.structure, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -271,6 +282,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import stabilizers
     if sum([bool(args.derive), args.phis is not None, args.antidiag is not None]) != 1:
         raise ParseFailure("choose exactly one of --derive, --phis, --antidiag")
     if args.winding is not None and not args.derive:
@@ -328,6 +340,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import search
     # The oracle first: it owns the qubit range, and refuses before any search work.
     oracle = search.brute_force_oracle(args.n, workers=args.workers)
     bound = search.completeness_bound(args.n)
@@ -390,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
+    # search.ORACLE_MAX_QUBITS, written out: reading it would load numpy.
     p = sub.add_parser("oracle-check",
-                       help=f"brute-force oracle vs search (n <= {search.ORACLE_MAX_QUBITS})")
+                       help="brute-force oracle vs search (n <= 6)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_oracle_check)

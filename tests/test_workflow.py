@@ -61,6 +61,7 @@ def test_console_script_steps_pass(tmp_path):
     assert [name for name, _ in steps] == [
         "Console script writes the pinned search tables",
         "Console script derives and verifies the README structure",
+        "Console script analyzes without loading numpy",
         'Console script derives with a winding list joined by "="',
         "Console script forks the oracle workers",
     ]
