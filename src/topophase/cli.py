@@ -258,11 +258,14 @@ def _structure_from_doc(doc) -> search.CombinatorialStructure:
         raise ParseFailure("structure document: 'Z' must be an integer")
     if not isinstance(doc["patterns"], list):
         raise ParseFailure("structure document: 'patterns' must be an array")
-    patterns = tuple(
-        tuple(sorted(p - 1 for p in _int_array(pat, "each pattern")))
-        for pat in doc["patterns"]
-    )
-    return search.CombinatorialStructure(len(multiset), multiset, doc["Z"], patterns)
+    n, patterns = len(multiset), []
+    for pat in doc["patterns"]:
+        positions = _int_array(pat, "each pattern")
+        if len(set(positions)) < len(positions) or not all(1 <= p <= n for p in positions):
+            raise ParseFailure(f"structure document: pattern {json.dumps(pat)} "
+                               f"is not a set of positions in 1..{n}")
+        patterns.append(tuple(sorted(p - 1 for p in positions)))
+    return search.CombinatorialStructure(n, multiset, doc["Z"], tuple(patterns))
 
 
 def cmd_construct(args) -> int:
@@ -304,7 +307,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 "winding numbers are inconsistent for this support; no stabilizer"
             )
-        angles, build = solution.phis, stabilizers.diagonal_stabilizer
+        angles, antidiagonal = solution.phis, False
         extra = {"winding": list(solution.winding), "phis": [_frac_json(f) for f in angles],
                  "free_parameters": solution.free_parameters}
         failure = "derived stabilizer failed verification"
@@ -313,9 +316,9 @@ def cmd_verify(args) -> int:
             off = stabilizers.wrap_angle(result.chi - float(solution.chi) * math.pi)
             return solution.chi, abs(off) <= stabilizers.DEFAULT_TOLERANCE
     else:
-        flag, text, build, factor = (
-            ("--phis", args.phis, stabilizers.diagonal_stabilizer, 1) if args.phis is not None
-            else ("--antidiag", args.antidiag, stabilizers.antidiagonal_stabilizer, 2))
+        flag, text, antidiagonal, factor = (
+            ("--phis", args.phis, False, 1) if args.phis is not None
+            else ("--antidiag", args.antidiag, True, 2))
         angles = _fraction_list(text)
         if len(angles) != state.n:
             raise ParseFailure(f"{flag} needs {state.n} rationals (units of pi)")
@@ -329,7 +332,7 @@ def cmd_verify(args) -> int:
                     and abs(float(frac) * math.pi - result.chi) <= stabilizers.DEFAULT_TOLERANCE)
             return (frac if near else None), True
 
-    result = stabilizers.verify(state, build(_radians(angles)))
+    result = stabilizers.verify(state, _radians(angles), antidiagonal)
     chi, agrees = judge(result)
     doc = {"matched": result.matched, "chi": _frac_json(chi) if chi is not None else None,
            "residual": result.residual, **extra}

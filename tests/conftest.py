@@ -12,7 +12,7 @@ import pytest
 from paper_fixtures import append_column
 from topophase import balance, search
 from topophase.exactlinalg import kernel_lattice, solve_rational
-from topophase.stabilizers import SU2_TOLERANCE, apply_local_unitaries
+from topophase.stabilizers import apply_local_unitaries
 from topophase.states import (PRODUCT_RANK_TOLERANCE, SparseState, WeightMatrix, support_state,
                               weight_matrix)
 
@@ -214,19 +214,22 @@ def random_su2(rng):
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
-def reference_assert_special_unitary(unitaries):
-    """Reference for the SU(2) check that `stabilizers.verify` runs on each
-    factor: the numpy formulation, with a matmul, an identity and a LAPACK
-    determinant per operator.  Its ``> SU2_TOLERANCE`` tests are False for
-    NaN, so unlike the closed form it accepts a non-finite operator; compare
-    the two on finite ones."""
-    for k, u in enumerate(unitaries):
-        if u.shape != (2, 2):
-            raise ValueError(f"operator {k} is not 2x2")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > SU2_TOLERANCE:
-            raise ValueError(f"operator {k} is not unitary to {SU2_TOLERANCE}")
-        if abs(np.linalg.det(u) - 1) > SU2_TOLERANCE:
-            raise ValueError(f"operator {k} has determinant != 1")
+def diagonal_stabilizer(phis):
+    """Per-qubit diag(e^{-i phi}, e^{+i phi}) in the (|0>, |1>) basis: the
+    factors `stabilizers.verify` applies for its angles."""
+    return [
+        np.array([[cmath.exp(-1j * phi), 0.0], [0.0, cmath.exp(1j * phi)]])
+        for phi in phis
+    ]
+
+
+def antidiagonal_stabilizer(deltas):
+    """Per-qubit [[0, e^{i delta}], [-e^{-i delta}, 0]] (determinant +1): the
+    factors `stabilizers.verify` applies for its angles with `antidiagonal`."""
+    return [
+        np.array([[0.0, cmath.exp(1j * d)], [-cmath.exp(-1j * d), 0.0]])
+        for d in deltas
+    ]
 
 
 def dense_vector(state):
@@ -237,13 +240,15 @@ def dense_vector(state):
     return vec
 
 
-def dense_verify(state, unitaries):
+def dense_verify(state, angles, antidiagonal=False):
     """Reference for `stabilizers.verify`: (chi, residual) from the dense
-    2^n vector, scaled by the largest real or imaginary part, with chi read
-    at the first largest-magnitude amplitude."""
+    2^n vector, scaled by the largest real or imaginary part, with the
+    factors built as 2x2 matrices and chi read at the first
+    largest-magnitude amplitude."""
+    build = antidiagonal_stabilizer if antidiagonal else diagonal_stabilizer
     scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
     vec = dense_vector(SparseState(state.n, tuple((b, amp / scale) for b, amp in state.terms)))
-    out = apply_local_unitaries(vec, unitaries)
+    out = apply_local_unitaries(vec, build(angles))
     anchor = int(np.argmax(np.abs(vec)))
     # chi is 0.0 where U psi vanishes at the anchor, as `verify` defines it.
     chi = cmath.phase(out[anchor] / vec[anchor]) if out[anchor] else 0.0

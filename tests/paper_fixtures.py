@@ -3,13 +3,15 @@ W-type supports, the five stabilizer families of known phase, telescoping
 by one appended qubit, and Table I's denominators for n qubits.  The
 library itself never builds them.
 
-Each family returns (state, local operators, expected chi in (-pi, pi]).
+Each family returns (state, angles, antidiagonal, expected chi in (-pi, pi]):
+the angles in radians and the kind of the local factors, as
+`stabilizers.verify` takes them.
 """
 
 import math
 
 from topophase.search import search_tables
-from topophase.stabilizers import antidiagonal_stabilizer, diagonal_stabilizer, wrap_angle
+from topophase.stabilizers import wrap_angle
 from topophase.states import SparseState, ghz_state, support_state
 
 
@@ -34,7 +36,7 @@ def ghz_family(n, p, angles=None):
     """Diagonal, n - 1 free angles: chi = p * pi."""
     angles = tuple(angles or (0.0,) * (n - 1))
     phis = angles + (p * math.pi - sum(angles),)
-    return ghz_state(n), diagonal_stabilizer(phis), wrap_angle(p * math.pi)
+    return ghz_state(n), phis, False, wrap_angle(p * math.pi)
 
 
 def ghz_antidiag_family(n, q, deltas=None):
@@ -42,7 +44,7 @@ def ghz_antidiag_family(n, q, deltas=None):
     deltas = tuple(deltas or (0.0,) * (n - 1))
     target = q * math.pi + (math.pi / 2 if n % 2 else 0.0)
     full = deltas + (target - sum(deltas),)
-    return ghz_state(n), antidiagonal_stabilizer(full), wrap_angle(target)
+    return ghz_state(n), full, True, wrap_angle(target)
 
 
 def ones_plus_w_family(n, qs):
@@ -50,18 +52,18 @@ def ones_plus_w_family(n, qs):
     total = sum(qs)
     chi = wrap_angle(total * math.pi / (n - 1))
     phis = (chi - total * math.pi,) + (chi,) * (n - 1)
-    return ones_plus_w_state(n), diagonal_stabilizer(phis), chi
+    return ones_plus_w_state(n), phis, False, chi
 
 
 def w_family(n, alpha):
     """The continuous family: every angle alpha, chi = (2 - n) * alpha."""
-    return w_state(n), diagonal_stabilizer((alpha,) * n), wrap_angle((2 - n) * alpha)
+    return w_state(n), (alpha,) * n, False, wrap_angle((2 - n) * alpha)
 
 
 def zeros_plus_w_family(n, qs):
     """Per-qubit signs: angles q * pi for n integers qs, chi = sum(qs) * pi."""
     phis = tuple(q * math.pi for q in qs)
-    return zeros_plus_w_state(n), diagonal_stabilizer(phis), wrap_angle(sum(qs) * math.pi)
+    return zeros_plus_w_state(n), phis, False, wrap_angle(sum(qs) * math.pi)
 
 
 def append_column(state, column):

@@ -174,8 +174,7 @@ def prove_genuine(record, support):
     winding = balance.winding_for_phase(w)
     solution = balance.solve_stabilizer(w, winding)
     assert solution.chi == Fraction(1, denominator)
-    ops = stabilizers.diagonal_stabilizer([float(f) * math.pi for f in solution.phis])
-    res = stabilizers.verify(state, ops)
+    res = stabilizers.verify(state, [float(f) * math.pi for f in solution.phis])
     assert res.matched, res
     assert abs(stabilizers.wrap_angle(res.chi - math.pi / denominator)) <= TOL
 
@@ -261,8 +260,8 @@ def test_criterion_5_worked_families():
     with criterion("5 (worked families, residual <= 1e-9)"):
         rng = random.Random(20240301)
 
-        def check(state, ops, chi):
-            res = stabilizers.verify(state, ops)
+        def check(state, angles, antidiagonal, chi):
+            res = stabilizers.verify(state, angles, antidiagonal)
             assert res.matched and res.residual <= TOL
             assert abs(stabilizers.wrap_angle(res.chi - chi)) <= TOL
             return res.chi

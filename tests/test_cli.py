@@ -651,6 +651,22 @@ class TestConstruct:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("patterns", [
+        [[1], [2], [0]],
+        [[1], [2], [4]],
+        [[1], [2], [3, 3]],
+    ], ids=["zero", "n_plus_one", "repeated"])
+    def test_pattern_outside_positions_rejected(self, patterns, tmp_path, capsys):
+        # The pattern is quoted 1-based, as the document wrote it.
+        src = tmp_path / "structure.json"
+        src.write_text(json.dumps({"multiset": [1, 1, 1], "Z": 1, "patterns": patterns}))
+        out = tmp_path / "state.json"
+        assert main(["construct", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"topophase: structure document: pattern "
+                                           f"{json.dumps(patterns[2])} is not a set of "
+                                           f"positions in 1..3\n")
+        assert not out.exists()
+
     def test_singular_selection_rejected(self, tmp_path, capsys):
         spec = {"multiset": [1, 1, 1], "Z": 1, "patterns": [[1], [1], [2]]}
         src = tmp_path / "structure.json"

@@ -34,9 +34,8 @@ PUBLIC_NAMES = {
         "equal_sum_submultisets", "records_to_csv", "search_tables", "validate_structure",
     ),
     "stabilizers": (
-        "DEFAULT_TOLERANCE", "SU2_TOLERANCE", "VerificationResult",
-        "antidiagonal_stabilizer", "apply_local_unitaries", "diagonal_stabilizer",
-        "verify", "wrap_angle",
+        "DEFAULT_TOLERANCE", "VerificationResult", "apply_local_unitaries", "verify",
+        "wrap_angle",
     ),
     "states": (
         "PRODUCT_RANK_TOLERANCE", "SparseState", "WeightMatrix", "bipartition_product_check",

@@ -4,6 +4,7 @@ apart."""
 
 import argparse
 import importlib
+import math
 import pkgutil
 import re
 import shlex
@@ -28,8 +29,8 @@ def test_library_quick_start_runs():
     exec(compile(quick_start_block(), str(README), "exec"), namespace)
     assert namespace["result"].denominators == (4, 5, 6, 7, 8, 9)
     assert namespace["sol"].chi == Fraction(1)
-    stabilizers = namespace["stabilizers"]
-    assert stabilizers.verify(namespace["state"], namespace["ops"]).matched
+    stabilizers, state, sol = (namespace[name] for name in ("stabilizers", "state", "sol"))
+    assert stabilizers.verify(state, [float(f) * math.pi for f in sol.phis]).matched
 
 
 def cli_section():

@@ -63,6 +63,7 @@ def test_console_script_steps_pass(tmp_path):
         "Console script derives and verifies the README structure",
         "Console script analyzes without loading numpy",
         'Console script derives with a winding list joined by "="',
+        "Console script verifies README's GHZ₃ operators",
         "Console script forks the oracle workers",
     ]
     shims, runner_temp = tmp_path / "bin", tmp_path / "runner"
