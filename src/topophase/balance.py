@@ -164,10 +164,10 @@ def irreducibility(w: WeightMatrix) -> IrreducibilityResult:
     with no zero entry (on a larger kernel some c_i is not a multiple of
     sum(c)).  Raises ValueError when the input is not an a-state.
     """
-    sol = solve_rational([*zip(*w.rows), (1,) * w.m], [0] * w.n + [1])
-    if sol is None:
+    c, _ = solve_rational([*zip(*w.rows), (1,) * w.m], [0] * w.n + [1])
+    if c is None:
         raise ValueError("not an a-state in this basis: no dependence with nonzero sum")
-    supp = tuple(i for i, x in enumerate(sol[0]) if x)
+    supp = tuple(i for i, x in enumerate(c) if x)
     return IrreducibilityResult(len(supp) == w.m, supp)
 
 
@@ -196,17 +196,23 @@ def solve_stabilizer(
 ) -> Optional[StabilizerSolution]:
     """Solve the eigenphase system for given winding numbers, in pi units.
 
-    Row j demands sum_k l_jk * phi_k = chi + 2*pi*winding[j].  Returns a
-    particular exact solution with chi normalized into (-pi, pi] (the winding
-    numbers are shifted along to keep every row exact), plus the dimension of
-    the solution space; None when the system is inconsistent.
+    Row j demands sum_k l_jk * phi_k = chi + 2*pi*winding[j]: one exact
+    elimination of [W | -1 | 2a].  Returns a particular exact solution with
+    chi normalized into (-pi, pi] (the winding numbers are shifted along to
+    keep every row exact), plus the dimension of the solution space; None
+    when the system is inconsistent.
+
+    Raises ValueError for a continuous phase family first, whatever the
+    winding: d = 0 exactly when the all-ones vector lies in the column span
+    of W, that is when the chi column holds no pivot.
     """
     if len(winding) != w.m:
         raise ValueError(f"winding length {len(winding)} does not match {w.m} rows")
-    sol = solve_rational([row + (-1,) for row in w.rows], [2 * a for a in winding])
-    if sol is None:
+    x, pivots = solve_rational([row + (-1,) for row in w.rows], [2 * a for a in winding])
+    if w.n not in pivots:
+        raise ValueError("continuous phase family; no topological phase in this basis")
+    if x is None:
         return None
-    x, free = sol
     phis, chi = x[: w.n], x[w.n]
     folded = chi % 2
     if folded > 1:
@@ -216,7 +222,7 @@ def solve_stabilizer(
         winding=tuple(a + shift for a in winding),
         phis=tuple(phis),
         chi=folded,
-        free_parameters=free,
+        free_parameters=w.n + 1 - len(pivots),
     )
 
 

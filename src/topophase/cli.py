@@ -297,12 +297,8 @@ def cmd_verify(args) -> int:
         raise ParseFailure(f"--winding needs {state.m} integers")
 
     if args.derive:
-        w = states.weight_matrix(state)
-        if balance.phase_set(w).continuous:
-            raise ValueError(
-                "continuous phase family; no topological phase in this basis"
-            )
-        solution = balance.solve_stabilizer(w, winding)
+        # Refuses a continuous phase family before it tests the winding.
+        solution = balance.solve_stabilizer(states.weight_matrix(state), winding)
         if solution is None:
             raise ValueError(
                 "winding numbers are inconsistent for this support; no stabilizer"

@@ -3,13 +3,15 @@
 The package has three elimination schemes, each for its own job; two are
 here:
 
-- `_reduce`, integer row reduction carrying a unimodular transform.
-  `kernel_lattice` reads the left kernel from the transform, as a basis of
-  the full integer lattice; `determinant` is the transform's sign times the
-  echelon diagonal; `solve_rational` back-substitutes over the pivot rows
-  in integers over one common denominator and builds one Fraction per
-  nonzero unknown; `solve_integer` reduces the transpose and
-  forward-substitutes over its pivot rows.
+- `_reduce`, integer row reduction of a matrix's leading columns, with no
+  transform of its own: the columns after them take every row operation
+  along.  `kernel_lattice` reduces M beside an identity block and reads
+  the left kernel from that block, as a basis of the full integer lattice;
+  `solve_integer` does the same on the transpose and forward-substitutes
+  over its pivot rows; `determinant` is the swaps' sign times the echelon
+  diagonal; `solve_rational` back-substitutes over the pivot rows in
+  integers over one common denominator, builds one Fraction per nonzero
+  unknown and returns the pivot columns, inconsistent or not.
 - `convex_feasible`, a phase-1 simplex with Bland's rule on an integer
   tableau over one common denominator ``D`` (Edmonds' integer-preserving
   pivot, as in Bareiss' elimination).  Each pivot divides every non-pivot
@@ -67,24 +69,27 @@ def make_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int, int]:
-    """Integer row echelon form ``h = u M`` with ``u`` unimodular, in place.
+def _reduce(h: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Integer row echelon form of the leading `width` columns of ``h``, in place.
 
-    ``h`` holds the rows of M as int lists of equal length that the caller
-    owns; each caller builds them in one validating pass.
+    ``h`` holds int rows of equal length that the caller owns; each caller
+    builds them in one validating pass.  The columns after the first `width`
+    take every row operation but hold no pivot: an identity block there ends
+    up holding the unimodular transform ``u`` with ``u M`` the echelon form.
 
     Column by column, the rows below the pivots found so far are reduced by
     ``row -= q * pivot`` against the one with the smallest nonzero entry
     until a single nonzero entry is left; that row is swapped up as the next
-    pivot.  Stops once every row holds a pivot.  Returns ``(h, u, rank,
-    sign)``: rows ``rank:`` of ``h`` are zero and ``sign = det u`` flips on
-    every swap of two distinct rows.
+    pivot.  Stops once every row holds a pivot.  Returns ``(pivots, sign)``:
+    row i holds its pivot in column ``pivots[i]``, the columns ascend, rows
+    ``len(pivots):`` are zero in the leading columns, and ``sign = det u``
+    flips on every swap of two distinct rows.
     """
     m = len(h)
     ncols = len(h[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    rank, sign = 0, 1
-    for col in range(ncols):
+    pivots, sign = [], 1
+    for col in range(width):
+        rank = len(pivots)
         if rank == m:
             break
         while True:
@@ -95,9 +100,8 @@ def _reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int, 
                 i = live[0]
                 if i != rank:
                     h[rank], h[i] = h[i], h[rank]
-                    u[rank], u[i] = u[i], u[rank]
                     sign = -sign
-                rank += 1
+                pivots.append(col)
                 break
             pivot = min(live, key=lambda i: abs(h[i][col]))
             p = h[pivot][col]
@@ -109,31 +113,41 @@ def _reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int, 
                     hi, hp = h[i], h[pivot]
                     for j in range(col, ncols):
                         hi[j] -= q * hp[j]
-                    ui, up = u[i], u[pivot]
-                    for j in range(m):
-                        ui[j] -= q * up[j]
-    return h, u, rank, sign
+    return pivots, sign
+
+
+def _append_identity(h: list[list[int]]) -> list[list[int]]:
+    """``[M | 1]`` in place: each row of ``h`` gains the same row of an identity."""
+    m = len(h)
+    for i, row in enumerate(h):
+        row += (0,) * i + (1,) + (0,) * (m - 1 - i)
+    return h
 
 
 def kernel_lattice(rows: IntRows) -> list[tuple[int, ...]]:
     """Basis of the integer left-kernel lattice ``{c : c^T M = 0}``.
 
-    The basis is the rows of `_reduce`'s unimodular transform that take M to
-    zero rows, so it generates the full lattice (not a finite-index
-    sublattice) and every basis vector is primitive.  Empty list when M has
-    full row rank.
+    `_reduce` runs on ``[M | 1]``, M beside an m x m identity block, which
+    ends up holding the unimodular transform.  Its rows beside the zero rows
+    of the echelon form are the basis, so it generates the full lattice (not
+    a finite-index sublattice) and every basis vector is primitive.  Empty
+    list when M has full row rank.
     """
-    _, u, rank, _ = _reduce(_copy_rows(rows))
-    return [make_primitive(vec) for vec in u[rank:]]
+    h = _copy_rows(rows)
+    width = len(h[0]) if h else 0
+    pivots, _ = _reduce(_append_identity(h), width)
+    return [make_primitive(row[width:]) for row in h[len(pivots):]]
 
 
 def determinant(rows: IntRows) -> int:
-    """Exact determinant: the transform's sign times the echelon diagonal."""
+    """Exact determinant: the sign of `_reduce`'s row swaps times the echelon
+    diagonal."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    h, _, rank, det = _reduce(_copy_rows(rows))
-    if rank < n:
+    h = _copy_rows(rows)
+    pivots, det = _reduce(h, n)
+    if len(pivots) < n:
         return 0
     for i in range(n):
         det *= h[i][i]
@@ -142,39 +156,41 @@ def determinant(rows: IntRows) -> int:
 
 def solve_rational(
     rows: IntRows, rhs: Sequence[Fraction | int]
-) -> Optional[tuple[tuple[Fraction, ...], int]]:
+) -> tuple[Optional[tuple[Fraction, ...]], tuple[int, ...]]:
     """Solve ``M x = b`` exactly over the rationals.
 
-    Returns ``(particular_solution, num_free)`` with free variables set to
-    zero and ``num_free = cols - rank(M)``, or None when inconsistent.  The
-    echelon form of ``[M*den | num]`` is back-substituted over its pivot
-    rows in integers: the unknowns solved so far are numerators ``N[c]``
-    over one common denominator ``D``, so a pivot row with pivot ``p`` at
-    column ``col`` gives ``x[col] = t / (p * D)`` with ``t = rhs * D - sum
-    row[c] * N[c]`` over the nonzero ``N[c]``.  With ``t`` and ``p`` reduced
-    by their gcd and ``p > 0``, ``N[col] = t``, and ``D`` and every other
-    ``N[c]`` are multiplied by ``p``.  One Fraction is built per nonzero
-    unknown at the end.  Every echelon form has the same pivot columns, and
-    the solution with the other variables at zero is unique.
+    Returns ``(x, pivots)``: ``pivots`` are the pivot columns of the echelon
+    form of ``[M | b]``, ascending, and ``x`` is the particular solution with
+    the free variables at zero, or None when the system is inconsistent,
+    that is when column ``cols`` (the right-hand side) holds a pivot.  The
+    free variables then number ``cols - len(pivots)``.  The echelon form of
+    ``[M*den | num]`` is back-substituted over its pivot rows in integers:
+    the unknowns solved so far are numerators ``N[c]`` over one common
+    denominator ``D``, so a pivot row with pivot ``p`` at column ``col``
+    gives ``x[col] = t / (p * D)`` with ``t = rhs * D - sum row[c] * N[c]``
+    over the nonzero ``N[c]``.  With ``t`` and ``p`` reduced by their gcd
+    and ``p > 0``, ``N[col] = t``, and ``D`` and every other ``N[c]`` are
+    multiplied by ``p``.  One Fraction is built per nonzero unknown at the
+    end.  Every echelon form has the same pivot columns, and the solution
+    with the other variables at zero is unique.
     """
     m = len(rows)
     if len(rhs) != m:
         raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
     ncols = len(rows[0]) if m else 0
     augmented = []
-    for i, (row, b) in enumerate(zip(rows, map(Fraction, rhs))):
-        scale = b.denominator
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scale = b.denominator  # an int's is 1
         aug = [int(x) * scale for x in row]
         if len(aug) != ncols:
             raise ValueError(f"ragged matrix: row {i} has length {len(aug)}, expected {ncols}")
         aug.append(b.numerator)
         augmented.append(aug)
-    h, _, rank, _ = _reduce(augmented)
+    pivots, _ = _reduce(augmented, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None, tuple(pivots)  # the last pivot row reads 0 = nonzero
     den, nums = 1, {}
-    for row in reversed(h[:rank]):
-        col = next(c for c, v in enumerate(row) if v)
-        if col == ncols:
-            return None  # the pivot row reads 0 = nonzero
+    for row, col in zip(reversed(augmented[:len(pivots)]), reversed(pivots)):
         t = row[ncols] * den - sum(row[c] * v for c, v in nums.items())
         if t:
             p = row[col]
@@ -188,30 +204,33 @@ def solve_rational(
     x = [Fraction(0)] * ncols
     for c, v in nums.items():
         x[c] = Fraction(v, den)
-    return tuple(x), ncols - rank
+    return tuple(x), tuple(pivots)
 
 
 def solve_integer(rows: IntRows, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
     """One integer solution of ``M x = b``, or None when there is none.
 
-    `_reduce` on the transpose gives ``h = u M^T`` with ``u`` unimodular, so
+    `_reduce` runs on ``[M^T | 1]``, the transpose beside an identity block,
+    which ends up holding ``u`` with ``h = u M^T`` and ``u`` unimodular, so
     the solutions are ``x = u^T y`` for integer ``y`` with ``y^T h = b^T``.
     Forward substitution over the pivot rows of ``h`` fixes ``y`` there,
     rounded down, and the rest of ``y`` is zero; there is a solution iff
     this ``y`` then satisfies every column.
     """
     mat = _copy_rows(rows)
-    if len(rhs) != len(mat):
-        raise ValueError(f"rhs length {len(rhs)} does not match {len(mat)} rows")
+    m = len(mat)
+    if len(rhs) != m:
+        raise ValueError(f"rhs length {len(rhs)} does not match {m} rows")
     ncols = len(mat[0]) if mat else 0
-    h, u, rank, _ = _reduce([list(col) for col in zip(*mat)])
+    h = _append_identity([list(col) for col in zip(*mat)])
+    pivots, _ = _reduce(h, m)
+    rank = len(pivots)
     y = []
-    for i in range(rank):
-        col = next(c for c, v in enumerate(h[i]) if v)
+    for i, col in enumerate(pivots):
         y.append((rhs[col] - sum(y[k] * h[k][col] for k in range(i))) // h[i][col])
     if any(sum(y[k] * h[k][c] for k in range(rank)) != b for c, b in enumerate(rhs)):
         return None
-    return tuple(sum(y[k] * u[k][j] for k in range(rank)) for j in range(ncols))
+    return tuple(sum(y[k] * h[k][m + j] for k in range(rank)) for j in range(ncols))
 
 
 def convex_feasible(rows: IntRows) -> Optional[tuple[Fraction, ...]]:

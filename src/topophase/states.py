@@ -24,6 +24,9 @@ from .exactlinalg import kernel_lattice
 
 PRODUCT_RANK_TOLERANCE = 1e-9
 
+_SIGNS = frozenset((-1, 1))
+_WEIGHT = {"0": -1, "1": 1}
+
 
 @dataclass(frozen=True)
 class SparseState:
@@ -40,7 +43,7 @@ class SparseState:
             raise ValueError(f"term count {len(self.terms)} outside 1..2^{self.n}")
         seen = set()
         for idx, (bits, amp) in enumerate(self.terms):
-            if len(bits) != self.n or any(ch not in "01" for ch in bits):
+            if len(bits) != self.n or bits.strip("01"):
                 raise ValueError(f"term {idx}: bitstring {bits!r} is not {self.n} bits of 0/1")
             if bits in seen:
                 raise ValueError(f"term {idx}: duplicate bitstring {bits!r}")
@@ -70,7 +73,7 @@ class WeightMatrix:
             raise ValueError("row count mismatch")
         seen = set()
         for row in self.rows:
-            if len(row) != self.n or any(x not in (-1, 1) for x in row):
+            if len(row) != self.n or not _SIGNS.issuperset(row):
                 raise ValueError(f"row {row!r} is not a +-1 vector of length {self.n}")
             if row in seen:
                 raise ValueError(f"duplicate weight vector {row!r}")
@@ -151,9 +154,7 @@ def load_state(path) -> SparseState:
 
 def weight_matrix(state: SparseState) -> WeightMatrix:
     """Weight matrix of the support, bit 1 -> +1, row order follows term order."""
-    rows = tuple(
-        tuple(1 if ch == "1" else -1 for ch in bits) for bits, _ in state.terms
-    )
+    rows = tuple(tuple(map(_WEIGHT.__getitem__, bits)) for bits, _ in state.terms)
     return WeightMatrix(state.m, state.n, rows)
 
 

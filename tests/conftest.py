@@ -11,7 +11,7 @@ import pytest
 
 from paper_fixtures import append_column
 from topophase import balance, search
-from topophase.exactlinalg import kernel_lattice, solve_rational
+from topophase.exactlinalg import kernel_lattice, make_primitive, solve_rational
 from topophase.stabilizers import apply_local_unitaries
 from topophase.states import (PRODUCT_RANK_TOLERANCE, SparseState, WeightMatrix, support_state,
                               weight_matrix)
@@ -68,20 +68,82 @@ class Echelon:
 
 def echelon_solve(rows, rhs):
     """Reference for `solve_rational`: back-substitution over the `Echelon`
-    rows of ``[M*den | num]``, free variables at 0."""
+    rows of ``[M*den | num]``, free variables at 0, with the sorted pivot
+    columns; the solution is None when column ``ncols`` holds a pivot."""
     ncols = len(rows[0]) if rows else 0
     ech = Echelon()
     for row, b in zip(rows, map(Fraction, rhs)):
         ech.add([x * b.denominator for x in row] + [b.numerator])
-    if any(col == ncols for col, _ in ech.rows):
-        return None
+    pivots = tuple(sorted(col for col, _ in ech.rows))
+    if ncols in pivots:
+        return None, pivots
     # Each stored row involves only the pivots of later rows.
     x = [Fraction(0)] * ncols
     solved = []
     for col, row in reversed(ech.rows):
         x[col] = Fraction(row[ncols] - sum(row[c] * x[c] for c in solved), row[col])
         solved.append(col)
-    return tuple(x), ncols - len(ech.rows)
+    return tuple(x), pivots
+
+
+def reference_reduce(h):
+    """The transform-carrying elimination that `exactlinalg._reduce` replaced:
+    the same row operations on ``h`` and on an m x m transform ``u``, every
+    column reduced, in place.  Returns ``(h, u, rank, sign)`` with ``h = u M``
+    and ``sign = det u``.  The reference for `kernel_lattice`,
+    `solve_integer` and the pivots of `solve_rational`."""
+    m = len(h)
+    ncols = len(h[0]) if m else 0
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    rank, sign = 0, 1
+    for col in range(ncols):
+        if rank == m:
+            break
+        while True:
+            live = [i for i in range(rank, m) if h[i][col] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                i = live[0]
+                if i != rank:
+                    h[rank], h[i] = h[i], h[rank]
+                    u[rank], u[i] = u[i], u[rank]
+                    sign = -sign
+                rank += 1
+                break
+            pivot = min(live, key=lambda i: abs(h[i][col]))
+            p = h[pivot][col]
+            for i in live:
+                if i == pivot:
+                    continue
+                q = h[i][col] // p
+                if q:
+                    hi, hp = h[i], h[pivot]
+                    for j in range(col, ncols):
+                        hi[j] -= q * hp[j]
+                    ui, up = u[i], u[pivot]
+                    for j in range(m):
+                        ui[j] -= q * up[j]
+    return h, u, rank, sign
+
+
+def reference_kernel_lattice(rows):
+    """`kernel_lattice` off `reference_reduce`'s transform."""
+    _, u, rank, _ = reference_reduce([list(row) for row in rows])
+    return [make_primitive(vec) for vec in u[rank:]]
+
+
+def reference_solve_integer(rows, rhs):
+    """`solve_integer` off `reference_reduce` of the transpose."""
+    ncols = len(rows[0]) if rows else 0
+    h, u, rank, _ = reference_reduce([list(col) for col in zip(*rows)])
+    y = []
+    for i in range(rank):
+        col = next(c for c, v in enumerate(h[i]) if v)
+        y.append((rhs[col] - sum(y[k] * h[k][col] for k in range(i))) // h[i][col])
+    if any(sum(y[k] * h[k][c] for k in range(rank)) != b for c, b in enumerate(rhs)):
+        return None
+    return tuple(sum(y[k] * u[k][j] for k in range(rank)) for j in range(ncols))
 
 
 def rank_rational(rows):
@@ -354,11 +416,11 @@ def reference_uniqueness(structure):
     """Reference for the uniqueness test of `search.validate_structure`: solve
     the sign system with right side -c0 * (1..1) and compare the unique
     solution, if there is one, with the multiset."""
-    sol = solve_rational(structure.sign_matrix(), [-structure.c0] * structure.n)
-    if sol is None:
+    x, pivots = solve_rational(structure.sign_matrix(), [-structure.c0] * structure.n)
+    if x is None:
         return False
-    x, free = sol
-    return free == 0 and all(x[j] == structure.multiset[j] for j in range(structure.n))
+    return len(pivots) == structure.n and all(x[j] == structure.multiset[j]
+                                              for j in range(structure.n))
 
 
 def reference_a_classes(multiset, z):

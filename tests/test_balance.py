@@ -17,6 +17,9 @@ from conftest import (
     WORKED_SEVEN_QUBIT_STRUCTURE,
     brute_force_det,
     has_affine_dependence,
+    reference_kernel_lattice,
+    reference_reduce,
+    reference_solve_integer,
     subset_scan_irreducibility,
     tensor_product,
 )
@@ -35,6 +38,7 @@ from topophase.balance import (
     solve_stabilizer,
     winding_for_phase,
 )
+from topophase.exactlinalg import kernel_lattice, solve_integer, solve_rational
 from topophase.search import CombinatorialStructure
 from topophase.states import (
     WeightMatrix,
@@ -382,6 +386,40 @@ class TestSolveStabilizer:
 
     def test_winding_for_phase_continuous(self):
         assert winding_for_phase(wm(w_state(3))) is None
+
+    def test_one_elimination_matches_the_transform(self):
+        # The chi column of [W | -1 | 2a] holds a pivot exactly when d > 0,
+        # and the rhs column exactly when the transform-carrying elimination
+        # found the system inconsistent; the kernel basis and the integer
+        # solve equal those read off its transform.
+        rng = random.Random(3535)
+        seen = dict.fromkeys(product(("continuous", "discrete"),
+                                     ("consistent", "inconsistent")), 0)
+        for _ in range(2000):
+            n = rng.randint(2, 7)
+            w = wm(random_support_state(rng, n, rng.randint(1, min(2 ** n, n + 3))))
+            winding = [rng.randint(-2, 2) for _ in range(w.m)]
+            rows, rhs = [row + (-1,) for row in w.rows], [2 * a for a in winding]
+            h, _, rank, _ = reference_reduce([[*row, b] for row, b in zip(rows, rhs)])
+            reference_pivots = tuple(next(c for c, v in enumerate(row) if v) for row in h[:rank])
+            x, pivots = solve_rational(rows, rhs)
+            assert pivots == reference_pivots, w.rows
+            assert (x is None) == (n + 1 in pivots)
+            kernel = reference_kernel_lattice(w.rows)
+            assert kernel_lattice(w.rows) == kernel
+            d = gcd(*(sum(vec) for vec in kernel))
+            assert phase_set(w).continuous == (d == 0) == (n not in pivots), w.rows
+            if d == 0:
+                with pytest.raises(ValueError, match="^continuous phase family"):
+                    solve_stabilizer(w, winding)
+            else:
+                assert (solve_stabilizer(w, winding) is None) == (x is None)
+                for target in ([-sum(vec) // d for vec in kernel],
+                               [rng.randint(-3, 3) for _ in kernel]):
+                    assert solve_integer(kernel, target) == reference_solve_integer(kernel, target)
+            seen["continuous" if d == 0 else "discrete",
+                 "inconsistent" if x is None else "consistent"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 class TestConstructState:

@@ -23,7 +23,7 @@ from conftest import (
     telescoped,
 )
 from paper_fixtures import append_column, w_state
-from topophase import cli, search, stabilizers
+from topophase import cli, search, stabilizers, states
 from topophase.cli import build_parser, main
 from topophase.states import (
     SparseState,
@@ -754,6 +754,31 @@ class TestVerify:
     def test_w3_derive_diagnostic(self, w3_file, capsys):
         assert main(["verify", w3_file, "--derive"]) == 2
         assert "continuous phase family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("winding", [[], ["--winding", "0,0,0,0"]], ids=["default", "zero"])
+    def test_continuous_family_refused_before_the_winding(self, winding, tmp_path, capsys):
+        # The first qubit is 0 in every term, so the family is continuous;
+        # the default winding is inconsistent as well, and continuity is
+        # what the one line reports.
+        path = tmp_path / "corner.json"
+        path.write_text(state_to_json(support_state(3, ["000", "011", "001", "010"])))
+        assert main(["verify", str(path), "--derive", *winding]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "topophase: continuous phase family; no topological phase in this basis\n")
+
+    def test_derive_builds_no_kernel_lattice(self, tmp_path, capsys, monkeypatch):
+        # Continuity is read off the solve's own pivots.
+        def no_kernel(*args):
+            raise AssertionError("verify --derive built a kernel lattice")
+
+        monkeypatch.setattr(states, "kernel_lattice", no_kernel)
+        for bits, code in ((SEVEN_QUBIT_PI18, 0), (["000", "011", "001", "010"], 2)):
+            path = tmp_path / f"{len(bits)}.json"
+            path.write_text(state_to_json(support_state(len(bits[0]), bits)))
+            assert main(["verify", str(path), "--derive"]) == code
+        capsys.readouterr()
 
     @pytest.mark.parametrize("winding", ["x", "1,0"])
     def test_w3_malformed_winding_is_a_usage_error(self, w3_file, winding, capsys):

@@ -102,18 +102,18 @@ class TestKernelLattice:
 
 class TestSolveRational:
     def test_scalar(self):
-        assert solve_rational([(2,)], [3]) == ((Fraction(3, 2),), 0)
+        assert solve_rational([(2,)], [3]) == ((Fraction(3, 2),), (0,))
 
     def test_ghz3_system(self):
         # angles + phase unknowns, rhs in units of pi
-        sol = solve_rational([(1, 1, 1, -1), (-1, -1, -1, -1)], [0, 2])
-        assert sol is not None
-        x, free = sol
+        x, pivots = solve_rational([(1, 1, 1, -1), (-1, -1, -1, -1)], [0, 2])
+        assert x is not None
         assert x[3] == -1  # raw phase component, -pi
-        assert free == 2
+        assert pivots == (0, 3)  # two free parameters
 
     def test_inconsistent(self):
-        assert solve_rational([(1,), (1,)], [0, 1]) is None
+        # The right-hand side's column holds the second pivot.
+        assert solve_rational([(1,), (1,)], [0, 1]) == (None, (0, 1))
 
     def test_pivot_columns_out_of_order(self):
         # The echelon stores pivots 1, 0, 2 in row order; with free variables
@@ -126,11 +126,11 @@ class TestSolveRational:
         assert [col for col, _ in ech.rows] == [1, 0, 2]
         assert solve_rational(rows, [1, 2, Fraction(1, 2)]) == (
             (Fraction(3, 8), Fraction(7, 8), Fraction(-3, 4), Fraction(0)),
-            1,
+            (0, 1, 2),
         )
         assert solve_rational([(0, 2, 1, 3), (3, 1, 0, 1), (3, 5, 2, 7)], [1, 2, 4]) == (
             (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)),
-            2,
+            (0, 1),
         )
 
     @settings(max_examples=150, deadline=None)
@@ -156,7 +156,8 @@ class TestSolveRational:
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
         sol = solve_rational(rows, rhs)
         assert sol == echelon_solve(rows, rhs)
-        if sol is None:
+        x, pivots = sol
+        if x is None:
             # independent consistency check: augmenting must raise the rank
             augmented = [
                 [x * b.denominator for x in r] + [b.numerator]
@@ -164,10 +165,9 @@ class TestSolveRational:
             ]
             assert rank_rational(augmented) > rank_rational(rows)
             return
-        x, free = sol
         for row, b in zip(rows, rhs):
             assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
-        assert free == n - rank_rational(rows)
+        assert len(pivots) == rank_rational(rows)
 
     # A stabilizer system: +-1 rows beside the -1 column of chi.  `_reduce`
     # takes ``[M | b]`` to pivots -1, 2, 2, 2, -2 and 10, so back-substitution
@@ -183,15 +183,16 @@ class TestSolveRational:
 
     def test_common_denominator_over_many_pivots(self):
         rows, rhs = self.STABILIZER_ROWS, [2, 1, 1, 1, 1, 1]
-        h, _, rank, _ = exactlinalg._reduce([list(r) + [b] for r, b in zip(rows, rhs)])
-        pivots = [next(v for v in row if v) for row in h[:rank]]
-        assert sum(abs(p) != 1 for p in pivots) >= 3
-        expected = (tuple(Fraction(v, 10) for v in (-7, 1, -1, 8, 9, 2, 0)), 1)
+        h = [list(r) + [b] for r, b in zip(rows, rhs)]
+        pivots, _ = exactlinalg._reduce(h, len(rows[0]) + 1)
+        assert sum(abs(row[col]) != 1 for row, col in zip(h, pivots)) >= 3
+        expected = (tuple(Fraction(v, 10) for v in (-7, 1, -1, 8, 9, 2, 0)),
+                    (0, 1, 2, 3, 4, 5))
         assert solve_rational(rows, rhs) == echelon_solve(rows, rhs) == expected
         thirds = [Fraction(b, 3) for b in rhs]
         assert solve_rational(rows, thirds) == echelon_solve(rows, thirds)
         # Row 0 again, with another right-hand side.
-        assert solve_rational(rows + rows[:1], rhs + [3]) is None
+        assert solve_rational(rows + rows[:1], rhs + [3]) == (None, (0, 1, 2, 3, 4, 5, 7))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -213,11 +214,11 @@ class TestSolveRational:
             st.fractions(-6, 6, max_denominator=12),
         )))
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-        sol = solve_rational(rows, rhs)
-        assert sol == echelon_solve(rows, rhs)
-        if sol is not None:
+        x, pivots = solve_rational(rows, rhs)
+        assert (x, pivots) == echelon_solve(rows, rhs)
+        if x is not None:
             for row, b in zip(rows, rhs):
-                assert sum(a * v for a, v in zip(row, sol[0])) == b
+                assert sum(a * v for a, v in zip(row, x)) == b
 
 
 class TestSolveInteger:
@@ -259,7 +260,8 @@ class TestSolveInteger:
                 continue
             for cand in product(box, repeat=cols):
                 assert [sum(a * v for a, v in zip(row, cand)) for row in mat] != rhs, (mat, rhs)
-            seen["rational only" if solve_rational(mat, rhs) else "inconsistent"] += 1
+            x, _ = solve_rational(mat, rhs)
+            seen["inconsistent" if x is None else "rational only"] += 1
         assert min(seen.values()) >= 20, seen
 
 
