@@ -169,8 +169,16 @@ def product_factors(state: SparseState) -> tuple[tuple[int, ...], ...]:
     blocks iff AD = BC: then unique factorization gives
     f = (p x_i + r)(a x_j + b), and since f has degree at most one in every
     variable the two factors share none.  Each pair not yet in one block is
-    tested by a sparse product and coupled blocks are merged, in
-    O(n^2 m^2) for m terms; no 2^k-sized array is built.
+    tested in the order (0, 1), (0, 2), ..., and coupled blocks are merged
+    by relabelling the smaller one; the loop stops at one block.  No
+    2^k-sized array is built.
+
+    Most coupled pairs are decided by the leading term of AD - BC (see
+    `_leading_coupled`) in O(m) over the terms sorted once; only a tie of
+    leading terms, or a leading product at or below the cutoff, falls back
+    to `_coupled`'s full sparse product, O(m^2) a pair.  The decisions are
+    the same either way.  The cost is O(n^2 m) when every pair is decided
+    by its leading term, and O(n^2 m^2) at worst.
 
     The amplitudes are first divided by their largest real or imaginary
     part (abs() itself overflows past 1.3e308), so no product overflows and
@@ -186,17 +194,62 @@ def product_factors(state: SparseState) -> tuple[tuple[int, ...], ...]:
         for bits, amp in state.terms
     ]
     cutoff = PRODUCT_RANK_TOLERANCE * sum(abs(amp) ** 2 for _, amp in terms)
-    label = list(range(n))  # qubit -> block, merged by relabelling
-    for i in range(n):
+    # The fallback keeps the term order: its float sums depend on it.
+    ordered = sorted(terms, reverse=True)
+    label = list(range(n))  # qubit -> block
+    members = [[q] for q in range(n)]  # block -> qubits, empty once merged
+    blocks = n
+    for i in range(n - 1):
+        bit_i = 1 << (n - 1 - i)
         for j in range(i + 1, n):
-            if label[i] != label[j] and _coupled(
-                terms, 1 << (n - 1 - i), 1 << (n - 1 - j), cutoff
+            if label[i] == label[j]:
+                continue
+            bit_j = 1 << (n - 1 - j)
+            if _leading_coupled(ordered, bit_i, bit_j, cutoff) or _coupled(
+                terms, bit_i, bit_j, cutoff
             ):
-                old = label[j]
-                label = [label[i] if x == old else x for x in label]
-    return tuple(sorted(
-        tuple(q for q in range(n) if label[q] == block) for block in set(label)
-    ))
+                keep, gone = label[i], label[j]
+                if len(members[keep]) < len(members[gone]):
+                    keep, gone = gone, keep
+                for q in members[gone]:
+                    label[q] = keep
+                members[keep] += members[gone]
+                members[gone] = []
+                blocks -= 1
+                if blocks == 1:
+                    return (tuple(range(n)),)
+    return tuple(sorted(tuple(sorted(block)) for block in members if block))
+
+
+def _leading_coupled(ordered, bit_i: int, bit_j: int, cutoff: float) -> bool:
+    """Sufficient test for `_coupled`: the leading term of AD - BC alone.
+
+    `ordered` holds the terms in descending order of their bitstring's
+    value, so the first term met in each part is its maximum.  With bits i
+    and j masked out, the value sum_k e_k 2^k of a monomial's exponent
+    vector is the sum of the values of its two keys, so monomials of
+    different value differ, and in AD only the product of max A and max D
+    reaches the value max A + max D.  So when that value exceeds
+    max B + max C (bits i and j add the same on both sides, so the
+    unmasked values compare alike), or BC is empty, AD - BC holds the
+    coefficient 1 * a * d at that monomial, the value `_coupled` sums
+    there; likewise -1 * b * c the other way round.  True when that
+    coefficient exceeds `cutoff`; False leaves the pair to `_coupled`.
+    """
+    both = bit_i | bit_j
+    top = {}  # bits i and j of a part -> its first, largest, term
+    for term in ordered:
+        part = term[0] & both
+        if part not in top:
+            top[part] = term
+            if len(top) == 4:
+                break
+    a, b, c, d = top.get(both), top.get(bit_i), top.get(bit_j), top.get(0)
+    if a and d and (not b or not c or a[0] + d[0] > b[0] + c[0]):
+        return abs(a[1] * d[1]) > cutoff
+    if b and c and (not a or not d or b[0] + c[0] > a[0] + d[0]):
+        return abs(b[1] * c[1]) > cutoff
+    return False
 
 
 def _coupled(terms, bit_i: int, bit_j: int, cutoff: float) -> bool:

@@ -269,6 +269,46 @@ def brute_force_factors(state):
     return tuple(sorted({tuple(sorted(b)) for b in blocks}))
 
 
+def reference_product_factors(state):
+    """Reference for `product_factors`: its all-pairs loop before the
+    leading-term test, every pair not yet in one block decided by the full
+    sparse product AD - BC, blocks merged by relabelling every qubit."""
+    n = state.n
+    scale = max(max(abs(amp.real), abs(amp.imag)) for _, amp in state.terms)
+    terms = [
+        (int(bits, 2), complex(amp.real / scale, amp.imag / scale))
+        for bits, amp in state.terms
+    ]
+    cutoff = PRODUCT_RANK_TOLERANCE * sum(abs(amp) ** 2 for _, amp in terms)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if label[i] != label[j] and reference_coupled(
+                terms, 1 << (n - 1 - i), 1 << (n - 1 - j), cutoff
+            ):
+                old = label[j]
+                label = [label[i] if x == old else x for x in label]
+    return tuple(sorted(
+        tuple(q for q in range(n) if label[q] == block) for block in set(label)
+    ))
+
+
+def reference_coupled(terms, bit_i, bit_j, cutoff):
+    """Whether AD - BC, built in full, has a coefficient above `cutoff`."""
+    rest = ~(bit_i | bit_j)
+    parts = ({}, {}, {}, {})  # D (00), C (01), B (10), A (11)
+    for s, amp in terms:
+        parts[(2 if s & bit_i else 0) | (1 if s & bit_j else 0)][s & rest] = amp
+    d, c, b, a = parts
+    coef = {}
+    for left, right, sign in ((a, d, 1), (b, c, -1)):
+        for s, x in left.items():
+            for t, y in right.items():
+                key = (s & t, s ^ t)
+                coef[key] = coef.get(key, 0) + sign * x * y
+    return any(abs(v) > cutoff for v in coef.values())
+
+
 def random_su2(rng):
     """Haar-random SU(2) via a normalized quaternion."""
     q = rng.normal(size=4)

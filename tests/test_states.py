@@ -7,10 +7,12 @@ import pytest
 from conftest import (
     brute_force_factors,
     dense_bipartition_product_check,
+    reference_product_factors,
     subset_scan_entangled,
     tensor_product,
 )
 from paper_fixtures import w_state
+from topophase import states
 from topophase.balance import classify
 from topophase.states import (
     SparseState,
@@ -183,6 +185,8 @@ AMPLITUDES = {
     "gauss": lambda rng: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
     # Small exact values, so that sums of products cancel exactly.
     "signed": lambda rng: complex(rng.choice([1, -1, 2, 1j])),
+    # Magnitudes spread over 1e-15..1e3, so some products fall below the cutoff.
+    "scaled": lambda rng: complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-15, 3),
 }
 
 
@@ -269,6 +273,90 @@ class TestProductFactors:
     def test_single_term_and_single_qubit(self):
         assert product_factors(support_state(3, ["101"])) == ((0,), (1,), (2,))
         assert product_factors(support_state(1, ["0", "1"])) == ((0,),)
+
+
+def counted(monkeypatch, name):
+    """Replace states.<name> by a wrapper; returns the list of its calls' results."""
+    inner, results = getattr(states, name), []
+
+    def wrapper(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(states, name, wrapper)
+    return results
+
+
+@pytest.fixture
+def pair_tests(monkeypatch):
+    """Results of the `_leading_coupled` and of the `_coupled` calls, in order."""
+    return counted(monkeypatch, "_leading_coupled"), counted(monkeypatch, "_coupled")
+
+
+def differential_state(rng, kind, n, amps):
+    """One state of the differential corpus: `corpus_state`'s kinds, products
+    perturbed by 1e-10, and signed products whose sums cancel exactly."""
+    if kind in ("random", "tensor", "constant"):
+        return corpus_state(rng, kind, n, amps)
+    product = corpus_state(rng, "tensor", n, "unit" if kind == "cancel" else amps)
+    if kind == "cancel":
+        # +-1 amplitudes on a product support: a product again only by chance.
+        return SparseState(n, tuple((bits, rng.choice((1, -1)) * amp)
+                                    for bits, amp in product.terms))
+    terms = [(bits, amp + 1e-10 * complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+             for bits, amp in product.terms]
+    free = sorted(set(range(2 ** n)) - {int(bits, 2) for bits, _ in terms})
+    if free and rng.random() < 0.5:
+        terms.append((format(rng.choice(free), f"0{n}b"), 1e-10))
+    return SparseState(n, tuple(terms))
+
+
+class TestLeadingTerm:
+    """The leading-term test decides most coupled pairs; every decision
+    stays the one the full product AD - BC makes."""
+
+    def test_matches_the_all_pairs_reference(self, pair_tests):
+        leading, fallbacks = pair_tests
+        rng = random.Random(36)
+        blocks = {True: 0, False: 0}
+        kinds = ("random", "tensor", "constant", "perturbed", "cancel")
+        amplitudes = ("unit", "gauss", "signed", "scaled")
+        for idx in range(2400):
+            n = 2 + idx % 8
+            state = differential_state(rng, kinds[idx % 5], n, amplitudes[idx // 5 % 4])
+            factors = product_factors(state)
+            assert factors == reference_product_factors(state), state
+            blocks[len(factors) == 1] += 1
+        assert min(blocks.values()) >= 300, blocks
+        # The leading term decides pairs, and the fallback finds coupled
+        # pairs as well as uncoupled ones.
+        assert leading.count(True) >= 2000
+        assert min(fallbacks.count(True), fallbacks.count(False)) >= 500
+
+    def test_wide_random_support_needs_no_full_product(self, pair_tests):
+        leading, fallbacks = pair_tests
+        state = random_state(random.Random(5), 16, 1600, "unit")
+        assert product_factors(state) == (tuple(range(16)),)
+        assert fallbacks == [] and leading == [True] * 15
+
+    def test_ghz_3000_makes_n_minus_one_pair_tests(self, pair_tests):
+        leading, fallbacks = pair_tests
+        assert product_factors(ghz_state(3000)) == (tuple(range(3000)),)
+        assert leading == [True] * 2999 and fallbacks == []
+
+    def test_leading_product_below_the_cutoff(self, pair_tests):
+        _, fallbacks = pair_tests
+        state = SparseState(3, (("000", 1), ("111", 1e-12)))
+        assert product_factors(state) == brute_force_factors(state) == ((0,), (1,), (2,))
+        assert fallbacks == [False] * 3
+
+    def test_tied_leading_keys(self, pair_tests):
+        # Split by qubits 0 and 2, max A + max D = 1111 + 0000 = 1100 + 0011.
+        _, fallbacks = pair_tests
+        bell = support_state(2, ["00", "11"])
+        state = tensor_product(bell, bell)
+        assert product_factors(state) == brute_force_factors(state) == ((0, 1), (2, 3))
+        assert fallbacks == [False] * 4
 
 
 def test_state_json_is_parseable_json():

@@ -62,6 +62,7 @@ def test_console_script_steps_pass(tmp_path):
         "Console script writes the pinned search tables",
         "Console script derives and verifies the README structure",
         "Console script analyzes without loading numpy",
+        "Console script finds the one block of a wide GHZ state",
         'Console script derives with a winding list joined by "="',
         "Console script refuses a continuous family before its winding",
         "Console script verifies README's GHZ₃ operators",
